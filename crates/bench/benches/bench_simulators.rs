@@ -1,6 +1,7 @@
 //! Engine throughput: interactions per second for the four exact engines.
 //!
-//! This is the quantitative backing for DESIGN.md §7's ablation choices:
+//! This is the quantitative backing for the engine trade-offs in the
+//! README's "Simulation backends" section:
 //! count-based beats agent-based on memory without losing speed, and the
 //! skip-ahead engine wins by the no-op fraction.
 

@@ -28,11 +28,10 @@
 //! aggregate throughput.
 
 use pop_proto::{
-    AgentSimulator, BatchGraphSimulator, Graph, GraphScheduler, GraphSimulator, ParGraphSimulator,
-    Simulator, TopologyFamily,
+    AgentSimulator, BatchGraphSimulator, Graph, GraphScheduler, GraphSimulator, Simulator,
+    TopologyFamily,
 };
 use sim_stats::rng::SimRng;
-use sim_stats::threads::resolve_threads;
 use usd_core::backend::Backend;
 use usd_core::init::InitialConfigBuilder;
 use usd_core::protocol::UndecidedStateDynamics;
@@ -144,15 +143,6 @@ fn explicit_sim(backend: Backend, graph: &Graph, states: Vec<usize>) -> Box<dyn 
         )),
         Backend::Graph => Box::new(GraphSimulator::new(proto, graph, states)),
         Backend::BatchGraph => Box::new(BatchGraphSimulator::new(proto, graph, states)),
-        // The sharded engine benches at the ambient thread resolution
-        // (`USD_THREADS` or available parallelism) — the same count a
-        // flagless `usd run --backend pargraph` would use on this host.
-        Backend::ParGraph => Box::new(ParGraphSimulator::new(
-            proto,
-            graph,
-            states,
-            resolve_threads(),
-        )),
         other => panic!("{other} cannot run graph topologies"),
     }
 }
@@ -403,12 +393,7 @@ fn scenario_set(quick: bool) -> Vec<Scenario> {
     let reg8 = TopologyFamily::Regular { d: 8 };
     let mut set = Vec::new();
     if quick {
-        for backend in [
-            Backend::Agent,
-            Backend::Graph,
-            Backend::BatchGraph,
-            Backend::ParGraph,
-        ] {
+        for backend in [Backend::Agent, Backend::Graph, Backend::BatchGraph] {
             set.push(Scenario {
                 backend,
                 work: Work::TopoStabilize {
@@ -425,7 +410,7 @@ fn scenario_set(quick: bool) -> Vec<Scenario> {
                 },
             });
         }
-        for backend in [Backend::Graph, Backend::BatchGraph, Backend::ParGraph] {
+        for backend in [Backend::Graph, Backend::BatchGraph] {
             set.push(Scenario {
                 backend,
                 work: Work::FrontierStabilize { n: 512 },
@@ -455,16 +440,8 @@ fn scenario_set(quick: bool) -> Vec<Scenario> {
         });
     } else {
         // The acceptance regime: random 8-regular at n = 10⁶, the
-        // effective-dominated expander where PR 2 measured parity. The
-        // pargraph rows run the same instances at the ambient thread
-        // resolution, so pargraph/graph on these rows is the measured
-        // multi-core scaling factor of the sharded engine on this host.
-        for backend in [
-            Backend::Agent,
-            Backend::Graph,
-            Backend::BatchGraph,
-            Backend::ParGraph,
-        ] {
+        // effective-dominated expander, where graph runs at agent parity.
+        for backend in [Backend::Agent, Backend::Graph, Backend::BatchGraph] {
             for n in [100_000u64, 1_000_000] {
                 set.push(Scenario {
                     backend,
@@ -483,7 +460,7 @@ fn scenario_set(quick: bool) -> Vec<Scenario> {
                 },
             });
         }
-        for backend in [Backend::Graph, Backend::BatchGraph, Backend::ParGraph] {
+        for backend in [Backend::Graph, Backend::BatchGraph] {
             set.push(Scenario {
                 backend,
                 work: Work::TopoStabilize {
@@ -588,7 +565,7 @@ fn select_scenarios(
             ),
             None => format!(
                 "--backend {b} appears in no scenario of this grid (graph \
-                 rows pin agent/graph/batchgraph/pargraph/replica; clique \
+                 rows pin agent/graph/batchgraph/replica; clique \
                  rows pin count/batch/skip, or batch/skip in quick mode, \
                  plus the replica ensemble rows)"
             ),
@@ -688,18 +665,6 @@ fn main() {
         );
     }
 
-    // Multi-core scaling the README tracks: the sharded engine's effective
-    // throughput over the scalar graphwise engine's on the same expander
-    // instance, at whatever thread count this host resolved.
-    for ((n, graph), (_, pg)) in eff("graph").iter().zip(eff("pargraph").iter()) {
-        println!(
-            "scaling pargraph/graph on regular:8 n={n} (threads={}): \
-             {:.2}x effective throughput",
-            resolve_threads(),
-            pg / graph
-        );
-    }
-
     // Ensemble amortization the README tracks: the replica engine's
     // lane-weighted scheduled throughput over the agentwise engine's on
     // the same expander instance — i.e. the speedup over running the
@@ -755,7 +720,7 @@ mod tests {
         // both grids for both graph engines — they are what puts the
         // shared sparse skipper inside the regression gate.
         for set in [&quick, &full] {
-            for backend in [Backend::Graph, Backend::BatchGraph, Backend::ParGraph] {
+            for backend in [Backend::Graph, Backend::BatchGraph] {
                 assert!(set
                     .iter()
                     .any(|s| s.backend == backend
@@ -763,14 +728,6 @@ mod tests {
                 assert!(set
                     .iter()
                     .any(|s| s.backend == backend && matches!(s.work, Work::TorusEndgame { .. })));
-            }
-            // The sharded engine is pinned on the same expander instance
-            // as the scalar graphwise rows, so the in-grid pargraph/graph
-            // scaling ratio always has its single-core denominator.
-            for backend in [Backend::Graph, Backend::ParGraph] {
-                assert!(set
-                    .iter()
-                    .any(|s| s.backend == backend && matches!(s.work, Work::TopoStabilize { .. })));
             }
             // The bit-parallel ensemble row must be pinned in both grids,
             // on the same reg8 instance as an agent row so the in-grid

@@ -1,6 +1,7 @@
 //! Shared helpers for the Criterion benchmark suite.
 //!
-//! The benches measure (see DESIGN.md §3/§7):
+//! The benches measure (the engines are described in the README's
+//! "Simulation backends" section):
 //!
 //! * `bench_simulators` — per-interaction throughput of the four engines
 //!   (agentwise, generic countwise, SequentialUsd, SkipAheadUsd) across

@@ -8,6 +8,28 @@
 
 use sim_stats::rng::SimRng;
 
+/// Largest vertex count, and largest adjacency-entry count (2m), a
+/// [`Graph`] can hold: vertex ids, edge ids and the CSR offsets of
+/// [`Graph::csr_adjacency`] are all `u32`.
+pub const MAX_GRAPH_SIZE: u64 = u32::MAX as u64;
+
+/// Why a graph on `n` vertices with `adjacency_entries` (= 2m) CSR entries
+/// would overflow the `u32` ids and offsets, or `None` if it fits.
+pub(crate) fn size_violation(n: u64, adjacency_entries: u128) -> Option<String> {
+    if n > MAX_GRAPH_SIZE {
+        Some(format!(
+            "n = {n} exceeds the {MAX_GRAPH_SIZE}-vertex limit of the u32 vertex ids"
+        ))
+    } else if adjacency_entries > u128::from(MAX_GRAPH_SIZE) {
+        Some(format!(
+            "2m = {adjacency_entries} adjacency entries exceed the \
+             {MAX_GRAPH_SIZE}-entry limit of the u32 CSR offsets"
+        ))
+    } else {
+        None
+    }
+}
+
 /// An undirected interaction graph on `n` vertices, stored as an edge list.
 ///
 /// The clique is deliberately *not* materialized as an edge list (that would
@@ -31,6 +53,16 @@ impl Graph {
                 "edge ({a},{b}) out of range for n={n}"
             );
         }
+        Self::sized(n, edges)
+    }
+
+    /// The one constructor: the backstop for sizes no caller checked up
+    /// front (random families can exceed their `n·d` estimate) — a graph
+    /// past [`MAX_GRAPH_SIZE`] would wrap its `u32` offsets silently.
+    fn sized(n: usize, edges: Vec<(u32, u32)>) -> Self {
+        if let Some(why) = size_violation(n as u64, 2 * edges.len() as u128) {
+            panic!("graph too large: {why}");
+        }
         Graph { n, edges }
     }
 
@@ -38,21 +70,21 @@ impl Graph {
     pub fn cycle(n: usize) -> Self {
         assert!(n >= 3, "cycle needs at least 3 vertices");
         let edges = (0..n).map(|i| (i as u32, ((i + 1) % n) as u32)).collect();
-        Graph { n, edges }
+        Self::sized(n, edges)
     }
 
     /// Path P_n. Requires n ≥ 2.
     pub fn path(n: usize) -> Self {
         assert!(n >= 2, "path needs at least 2 vertices");
         let edges = (0..n - 1).map(|i| (i as u32, (i + 1) as u32)).collect();
-        Graph { n, edges }
+        Self::sized(n, edges)
     }
 
     /// Star K_{1,n−1} with vertex 0 at the center. Requires n ≥ 2.
     pub fn star(n: usize) -> Self {
         assert!(n >= 2, "star needs at least 2 vertices");
         let edges = (1..n).map(|i| (0u32, i as u32)).collect();
-        Graph { n, edges }
+        Self::sized(n, edges)
     }
 
     /// rows × cols grid with 4-neighbour connectivity.
@@ -70,10 +102,7 @@ impl Graph {
                 }
             }
         }
-        Graph {
-            n: rows * cols,
-            edges,
-        }
+        Self::sized(rows * cols, edges)
     }
 
     /// Erdős–Rényi G(n, p): each of the C(n,2) edges present independently
@@ -88,7 +117,7 @@ impl Graph {
                 }
             }
         }
-        Graph { n, edges }
+        Self::sized(n, edges)
     }
 
     /// Number of vertices.
@@ -108,7 +137,8 @@ impl Graph {
 
     /// Compressed-sparse-row adjacency: returns `(offsets, entries)` where
     /// vertex `v` owns `entries[offsets[v]..offsets[v + 1]]`, each entry a
-    /// `(neighbor, edge index)` pair. The simulation engines
+    /// `(neighbor, edge index)` pair. The `u32` offsets count up to 2m,
+    /// which construction keeps within [`MAX_GRAPH_SIZE`]. The simulation engines
     /// ([`GraphSimulator`](crate::simulator::GraphSimulator),
     /// [`BatchGraphSimulator`](crate::simulator::BatchGraphSimulator)) build
     /// this once at construction to re-weight the ≤ d edges incident to a
@@ -254,5 +284,22 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_rejected() {
         Graph::from_edges(3, vec![(0, 3)]);
+    }
+
+    #[test]
+    fn size_limit_sits_exactly_at_the_u32_boundary() {
+        let max = MAX_GRAPH_SIZE;
+        assert!(size_violation(max, u128::from(max)).is_none());
+        assert!(size_violation(max + 1, 0).unwrap().contains("vertex ids"));
+        assert!(size_violation(2, u128::from(max) + 1)
+            .unwrap()
+            .contains("CSR offsets"));
+    }
+
+    #[test]
+    #[should_panic(expected = "graph too large")]
+    fn construction_backstop_rejects_oversized_graphs() {
+        // No edges, so nothing is allocated before the check fires.
+        Graph::from_edges(MAX_GRAPH_SIZE as usize + 1, Vec::new());
     }
 }

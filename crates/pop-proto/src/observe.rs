@@ -19,12 +19,10 @@
 //! | `graph` | every effective event (dense and sparse phase) | always 1 (**exact**) |
 //! | `batch` | block boundary (~√n draws) | ≥ 1 (**checkpoint**) |
 //! | `batchgraph` | block boundary in *both* phases (~√n draws dense, ≤ 64 events sparse) | ≥ 1 (**checkpoint**) |
-//! | `pargraph` | block boundary in *both* phases (~m/16 draws dense across domain shards, ≤ 64 events sparse) | ≥ 1 (**checkpoint**) |
 //!
 //! On the exact backends an observer sees every effective event
 //! individually, so first-crossing times and running extrema are exact to
-//! the interaction. On the leaping engines (`batch`, `batchgraph`,
-//! `pargraph`) a
+//! the interaction. On the leaping engines (`batch`, `batchgraph`) a
 //! boundary summarizes a whole block of ~√n interactions — and, since the
 //! sparse phase became block-leaping too (PR 5), a `batchgraph` sparse
 //! boundary summarizes up to 64 effective events; crossing times
@@ -57,7 +55,6 @@
 //! | `skip` | one geometric no-op leap | truncates ≤ 1 leap per mark |
 //! | `graph` | per event dense, block-leap sparse | truncates ≤ 1 sparse block per mark |
 //! | `batch`, `batchgraph` | ~√n-draw block | truncates ≤ 1 block per mark |
-//! | `pargraph` | ~m/16-draw sharded block | truncates ≤ 1 block per mark |
 //!
 //! At the recorder's default cadence (`max(n, 65 536)` scheduled
 //! interactions per sample) one truncated block per mark is a vanishing

@@ -174,22 +174,11 @@ impl<P: Protocol> BatchSimulator<P> {
     /// Cap the worker threads used for the per-batch pairing-table rows
     /// (default: the process-wide resolution at construction time).
     /// Thread count is bit-neutral: any value produces identical runs.
-    /// Builder twin of the deprecated [`set_threads`](Self::set_threads);
     /// `RunSpec::threads` resolves the value once and passes it here.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Cap the worker threads used for the per-batch pairing-table rows.
-    #[deprecated(
-        since = "0.1.0",
-        note = "thread counts are resolved once by RunSpec::threads and passed through \
-                with_threads; mutate-after-build is no longer part of the API"
-    )]
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// The protocol.

@@ -1,6 +1,6 @@
 //! Exact simulators for population protocols.
 //!
-//! Five backends simulate the same Markov chains at different cost models:
+//! Six engines simulate the same Markov chains at different cost models:
 //!
 //! * [`AgentSimulator`] — tracks each agent's state individually and asks a
 //!   [`Scheduler`](crate::scheduler::Scheduler) for agent pairs: the literal
@@ -35,12 +35,10 @@
 //!   [`GraphSimulator`] uses, driven a block of events at a time) when
 //!   no-ops dominate. [`WideBatchGraphSimulator`] is its u16 state-packing
 //!   fallback for protocols with more than 256 states.
-//! * [`ParGraphSimulator`] — the multi-core graph engine: dense blocks of
-//!   position-derived draws (each a pure function of a per-block seed and
-//!   its position, so trajectories are bit-identical for any thread
-//!   count) applied across BFS-cut spatial domains on the persistent
-//!   `sim_stats` worker pool, with cross-domain conflicts replayed in
-//!   schedule order and the same sparse-skipper endgame.
+//! * [`ReplicaSimulator`] — the ensemble engine: up to 64 independent
+//!   replica runs bit-sliced into plane words per agent and advanced
+//!   together by one shared (pair, orientation) schedule, on the clique or
+//!   any interaction graph.
 //!
 //! The graph engines' sparse phases share one block-leaping implementation
 //! (the private `sparse` module): a Fenwick tree over per-edge
@@ -64,7 +62,6 @@ mod batched;
 mod batched_graph;
 mod countwise;
 mod graphwise;
-mod par_graph;
 mod replica;
 mod sparse;
 
@@ -73,7 +70,6 @@ pub use batched::BatchSimulator;
 pub use batched_graph::{BatchGraphSimulator, StateWord, WideBatchGraphSimulator};
 pub use countwise::CountSimulator;
 pub use graphwise::{shuffled_layout, GraphSimulator};
-pub use par_graph::ParGraphSimulator;
 pub use replica::{BitwiseProtocol, ReplicaSimulator, MAX_LANES, MAX_PLANES};
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
@@ -111,8 +107,9 @@ pub mod snapshot_tags {
     /// [`ReplicaSimulator`](super::ReplicaSimulator) (bit-parallel
     /// replica lanes).
     pub const REPLICA: u8 = 9;
-    /// [`ParGraphSimulator`](super::ParGraphSimulator) (sharded
-    /// multi-core graph engine).
+    /// Retired: the sharded multi-core `pargraph` engine, since removed.
+    /// Reserved so its old checkpoints are rejected by tag instead of
+    /// being read as another engine's payload — never reuse it.
     pub const PAR_GRAPH: u8 = 10;
 
     /// Name of a tag for error messages.
@@ -127,7 +124,7 @@ pub mod snapshot_tags {
             USD_SEQ => "seq",
             USD_SKIP => "skip",
             REPLICA => "replica",
-            PAR_GRAPH => "pargraph",
+            PAR_GRAPH => "pargraph (retired)",
             _ => "unknown",
         }
     }

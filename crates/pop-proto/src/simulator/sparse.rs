@@ -1,8 +1,7 @@
 //! Shared block-leaping sparse-phase engine for the graph simulators.
 //!
-//! [`GraphSimulator`](super::GraphSimulator),
-//! [`BatchGraphSimulator`](super::BatchGraphSimulator) and
-//! [`ParGraphSimulator`](super::ParGraphSimulator) handle
+//! [`GraphSimulator`](super::GraphSimulator) and
+//! [`BatchGraphSimulator`](super::BatchGraphSimulator) handle
 //! no-op-dominated stretches the same way: a Fenwick tree over per-edge
 //! *active-orientation* weights turns the embedded no-op runs into exact
 //! geometric skips (success probability `W / 2m`) and effective events into
@@ -63,8 +62,11 @@
 //! weighted event draw, and the silence test all see the *true* weights at
 //! every event — only the tree's materialization of them is deferred. The
 //! phase-hysteresis constants ([`SPARSE_TRIGGER_NOOPS`],
-//! [`DENSE_ENTER_INV`]) live here too, so the two engines cannot drift
-//! apart.
+//! [`DENSE_ENTER_INV`]) live here too, and both engines apply the trigger
+//! the same way: a run of `SPARSE_TRIGGER_NOOPS` consecutive no-op *draws*
+//! (counted per draw, across block boundaries) hands off to the skipper.
+//! The two graph engines therefore share one escalation rule as well as
+//! one set of constants.
 //!
 //! The skipper also owns its slice of the engine-telemetry layer
 //! ([`crate::telemetry`]): every draw, flush, deferred/immediate update,

@@ -17,7 +17,7 @@
 //! the nearest feasible one; sweep grids use it so the same nominal `n`
 //! column stays comparable across families.
 
-use crate::graph::Graph;
+use crate::graph::{size_violation, Graph};
 use sim_stats::rng::SimRng;
 use std::collections::HashSet;
 use std::str::FromStr;
@@ -128,6 +128,34 @@ impl TopologyFamily {
                     n
                 }
             }
+        }
+    }
+
+    /// Adjacency entries (2m, the CSR size) of this family's graph on `n`
+    /// vertices: exact for the deterministic families, the `n·d` bound for
+    /// `regular` and `er`.
+    fn adjacency_entries(&self, n: usize) -> u128 {
+        let n = n as u128;
+        match *self {
+            TopologyFamily::Complete => n * n.saturating_sub(1),
+            TopologyFamily::Cycle => 2 * n,
+            TopologyFamily::Torus => 4 * n,
+            TopologyFamily::Hypercube => n * u128::from(n.max(1).ilog2()),
+            TopologyFamily::Regular { d } => n * d as u128,
+            TopologyFamily::ErdosRenyi { avg_degree } => (n as f64 * avg_degree).ceil() as u128,
+        }
+    }
+
+    /// Reject a (snapped) size whose graph would overflow the `u32` vertex
+    /// ids, edge ids or CSR offsets (see
+    /// [`MAX_GRAPH_SIZE`](crate::graph::MAX_GRAPH_SIZE)). Checked from
+    /// `n` alone, before generation, so an oversized request fails without
+    /// allocating; [`Graph`] construction asserts the same limit as the
+    /// backstop for random families.
+    pub fn check_size(&self, n: usize) -> Result<(), String> {
+        match size_violation(n as u64, self.adjacency_entries(n)) {
+            None => Ok(()),
+            Some(why) => Err(format!("topology {self} on n = {n}: {why}")),
         }
     }
 
@@ -567,5 +595,43 @@ mod tests {
     #[should_panic(expected = "n*d even")]
     fn regular_rejects_odd_product() {
         TopologyFamily::Regular { d: 3 }.build(9, 0);
+    }
+
+    #[test]
+    fn check_size_rejects_the_first_size_past_the_u32_offsets() {
+        // reg8: 2m = 8n reaches 2^32 at n = 2^29.
+        let reg8 = TopologyFamily::Regular { d: 8 };
+        assert!(reg8.check_size((1 << 29) - 1).is_ok());
+        let err = reg8.check_size(1 << 29).unwrap_err();
+        assert!(err.contains("CSR offsets"), "{err}");
+        assert!(reg8.check_size(600_000_000).is_err());
+        // Exact counts for the deterministic families.
+        let max = crate::graph::MAX_GRAPH_SIZE as usize;
+        assert!(TopologyFamily::Cycle.check_size(max / 2).is_ok());
+        assert!(TopologyFamily::Cycle.check_size(max / 2 + 1).is_err());
+        assert!(TopologyFamily::Torus.check_size(max / 4).is_ok());
+        assert!(TopologyFamily::Torus.check_size(max / 4 + 1).is_err());
+        assert!(TopologyFamily::Hypercube.check_size(1 << 27).is_ok());
+        assert!(TopologyFamily::Hypercube.check_size(1 << 28).is_err());
+        assert!(TopologyFamily::Complete.check_size(65_536).is_ok());
+        assert!(TopologyFamily::Complete.check_size(65_537).is_err());
+        let er = TopologyFamily::ErdosRenyi { avg_degree: 2.0 };
+        assert!(er.check_size(max / 2).is_ok());
+        assert!(er.check_size(max / 2 + 1).is_err());
+        // The built graphs match the up-front count.
+        for family in [
+            TopologyFamily::Complete,
+            TopologyFamily::Cycle,
+            TopologyFamily::Torus,
+            TopologyFamily::Hypercube,
+            TopologyFamily::Regular { d: 4 },
+        ] {
+            let n = family.snap_n(64);
+            assert_eq!(
+                family.adjacency_entries(n),
+                2 * family.build(n, 1).num_edges() as u128,
+                "{family}"
+            );
+        }
     }
 }

@@ -24,7 +24,7 @@ usd-sim — Undecided State Dynamics simulator
 
 commands:
   run    --n <u64> --k <usize> [--bias <u64> | --max-bias] [--seed <u64>]
-         [--backend agent|count|batch|graph|batchgraph|pargraph|seq|skip|replica]
+         [--backend agent|count|batch|graph|batchgraph|seq|skip|replica]
          [--replicas <1..=64>] [--threads <t>]
          [--trace <file.usdt>]
          [--topology complete|cycle|torus|hypercube|regular[:d]|er[:avg]]
@@ -43,15 +43,13 @@ commands:
            summary; --replicas sets the lane count (default 64, replica
            backend only). Checkpoints of ensemble runs carry the lane
            count in their identity (backend 'replica:<lanes>').
-           --backend pargraph shards the interaction graph into spatial
-           domains advanced on a persistent worker pool; --threads caps
-           the worker threads of the thread-capable engines (batch,
-           pargraph; default: USD_THREADS env, else all cores).
+           --threads caps the worker threads of the thread-capable
+           engine (batch; default: USD_THREADS env, else all cores).
            Trajectories are bit-identical for any thread count, so
-           pargraph checkpoints resume under a different --threads.
+           checkpoints resume under a different --threads.
            --topology runs on an interaction graph instead of the clique
            (backend default becomes batchgraph — the block-leaping engine;
-           graph, pargraph, agent, and replica also work); --degree sets d
+           graph, agent, and replica also work); --degree sets d
            for regular/er; the
            population is snapped to the nearest feasible size for the
            family. --telemetry prints the engine's run report (counters,
@@ -77,7 +75,7 @@ commands:
            resumed run reproduces the uninterrupted run byte-for-byte
            (final state and timeline)
   sweep  --n <u64> [--seeds <u64>] [--seed <u64>]
-         [--backend agent|count|batch|graph|batchgraph|pargraph|seq|skip|replica]
+         [--backend agent|count|batch|graph|batchgraph|seq|skip|replica]
            stabilization time across the admissible k grid vs the bounds
   bounds --n <u64> --k <usize>
            print the paper's bound curves for (n, k)
@@ -451,7 +449,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         Some(t) if !caps.threads => {
             return Err(CliError(format!(
                 "--threads {t} has no effect on the {backend} backend \
-                 (thread-capable backends: batch, pargraph)"
+                 (thread-capable backends: batch)"
             )));
         }
         t => t,
@@ -518,7 +516,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         if !caps.topologies {
             return Err(CliError(format!(
                 "--topology requires a topology-capable backend \
-                 (agent, graph, batchgraph, pargraph, or replica), got {backend}"
+                 (agent, graph, batchgraph, or replica), got {backend}"
             )));
         }
         if trace_path.is_some() {
@@ -531,6 +529,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
             println!("note: n snapped to {snapped} for the {family} family");
             n = snapped;
         }
+        family.check_size(n as usize)?;
     }
     if n < 2 || k < 1 || (k as u64) > n {
         return Err(CliError(format!("invalid instance n={n}, k={k}")));
@@ -559,10 +558,8 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     if let Some(p) = &checkpoint_path {
         preflight_writable(p, "--checkpoint")?;
     }
-    if matches!(
-        backend,
-        Backend::Graph | Backend::BatchGraph | Backend::ParGraph
-    ) && topology.is_none()
+    if matches!(backend, Backend::Graph | Backend::BatchGraph)
+        && topology.is_none()
         && n > usd_core::backend::COMPLETE_GRAPH_MAX_N
     {
         return Err(CliError(format!(
@@ -1007,10 +1004,8 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     if n < 16 {
         return Err(CliError("need --n >= 16".into()));
     }
-    if matches!(
-        backend,
-        Backend::Graph | Backend::BatchGraph | Backend::ParGraph
-    ) && n > usd_core::backend::COMPLETE_GRAPH_MAX_N
+    if matches!(backend, Backend::Graph | Backend::BatchGraph)
+        && n > usd_core::backend::COMPLETE_GRAPH_MAX_N
     {
         return Err(CliError(format!(
             "--backend {backend} sweeps the complete graph; n={n} exceeds the \

@@ -1,6 +1,6 @@
 //! Generic backend selection for USD runs.
 //!
-//! Nine exact engines can run the Undecided State Dynamics:
+//! Eight exact engines can run the Undecided State Dynamics:
 //!
 //! | backend | engine | cost model |
 //! |---------|--------|------------|
@@ -9,7 +9,6 @@
 //! | `batch` | [`pop_proto::BatchSimulator`] | O(k²+log n) per ~√n interactions |
 //! | `graph` | [`pop_proto::GraphSimulator`] | O(d log m)/**effective** interaction |
 //! | `batchgraph` | [`pop_proto::BatchGraphSimulator`] | block-leaping O(1)/interaction, sparse O(d log m)/effective |
-//! | `pargraph` | [`pop_proto::ParGraphSimulator`] | multi-core block-leaping: position-derived draw blocks applied across spatial domains on the persistent worker pool |
 //! | `seq`   | [`crate::dynamics::SequentialUsd`] | O(log k)/interaction, USD-specialized |
 //! | `skip`  | [`crate::dynamics::SkipAheadUsd`] | O(log k)/effective event |
 //! | `replica` | [`pop_proto::ReplicaSimulator`] | r ≤ 64 packed lanes, O(⌈log₂(k+1)⌉)/draw for **all** lanes |
@@ -21,21 +20,19 @@
 //! packed replica lanes, multi-thread execution, observation granularity,
 //! checkpointing — is declared in one place,
 //! [`Backend::capabilities`], which the argument-validation and
-//! construction paths consult. The `agent`, `graph`, `batchgraph`,
-//! `pargraph`, and `replica` backends run on non-clique interaction
+//! construction paths consult. The `agent`, `graph`, `batchgraph`, and
+//! `replica` backends run on non-clique interaction
 //! graphs ([`RunSpec::topology`](crate::RunSpec::topology) builds a
 //! [`TopologyFamily`] graph, places the initial configuration uniformly at
 //! random on its vertices, and runs the engine to graph silence). The
 //! `replica` backend is the ensemble engine: one pass advances up to 64
 //! independent replicas of the same configuration, with per-lane outcomes
 //! read back through [`EnsembleOutcome`](crate::EnsembleOutcome). The
-//! `pargraph` backend is the multi-core engine: its trajectories are
-//! bit-identical for any [`RunSpec::threads`](crate::RunSpec::threads)
-//! setting.
+//! `batch` backend is the one multi-thread engine: its hypergeometric
+//! fan-out honors [`RunSpec::threads`](crate::RunSpec::threads) and its
+//! trajectories are bit-identical for any setting.
 //!
-//! The free functions in this module are the *legacy* entrypoints, kept as
-//! thin deprecated wrappers over [`RunSpec`] (their
-//! equivalence is pinned by `tests/replica_equivalence.rs`); callers that
+//! Runs are driven through [`RunSpec`]; callers that
 //! only need an engine built, not driven, use [`make_simulator`] /
 //! [`make_topology_simulator`], which delegate to
 //! [`RunSpec::build_simulator`](crate::RunSpec::build_simulator).
@@ -53,7 +50,6 @@
 //! | `batch` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (collision steps), `table_draws`, `skip_draws`, `dense_steps`/`pair_draws` |
 //! | `graph` | clocks, `dense_steps`, `pair_draws`, `sparse_enters`/`sparse_exits`, all `sparse.*` skipper stats, spans `dense`/`sparse` |
 //! | `batchgraph` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (dirty draws), `pair_draws`, `sparse_enters`/`sparse_exits`, all `sparse.*`, spans `dense`/`gather`/`apply`/`sparse` |
-//! | `pargraph` | clocks, `blocks`/`block_draws`/`block_applied` (interior draws), `fallback_literal` (replayed boundary/conflict draws), `dense_steps`/`pair_draws`, `sparse_enters`/`sparse_exits`, all `sparse.*`, spans `dense`/`sparse` |
 //! | `seq` | `scheduled`/`effective`, `dense_steps`, `pair_draws` |
 //! | `skip` | `scheduled`/`effective`, `skip_draws`, `pair_draws` |
 //! | `replica` | `scheduled`/`effective` (*lane-aggregate*: +popcount(live)/+popcount(changed) per draw), `dense_steps`/`pair_draws` (per *draw*) |
@@ -81,14 +77,13 @@
 //! | `batch` | `skip_len` (geometric draws), `block_size` (applied per batch), `fallback_run` (collision literals) |
 //! | `graph` | `skip_len` (dense no-op runs + sparse geometric draws), `block_total`/`flush_size`/`flush_occupancy` (sparse skipper) |
 //! | `batchgraph` | `skip_len`, `block_size` (matching blocks), `fallback_run` (dirty draws), `block_total`/`flush_size`/`flush_occupancy` (sparse skipper) |
-//! | `pargraph` | `block_size` (interior draws applied per block), `fallback_run` (replayed draws per block), `skip_len`/`block_total`/`flush_size`/`flush_occupancy` (sparse skipper only — dense no-op runs are not observable from the parallel application) |
 //! | `seq` | `skip_len` (literally-counted no-op runs) |
 //! | `skip` | `skip_len` (completed geometric runs) |
 //! | `replica` | `skip_len` (runs of draws effective in **no** lane) |
 
 use crate::config::UsdConfig;
 use crate::protocol::UndecidedStateDynamics;
-use crate::runspec::{drive_agent_graph_chunked, drive_chunked, drive_plain, RunSpec};
+use crate::runspec::RunSpec;
 use crate::stabilization::{ConsensusOutcome, StabilizationResult};
 use pop_proto::simulator::shuffled_layout;
 use pop_proto::{AgentSimulator, GraphScheduler, Simulator, TopologyFamily};
@@ -109,10 +104,6 @@ pub enum Backend {
     /// Batch-leaping graph simulator (matching-based multi-event blocks;
     /// the fast engine for effective-dominated topologies).
     BatchGraph,
-    /// Sharded multi-core graph simulator (position-derived draw blocks
-    /// applied across spatial domains on the persistent worker pool;
-    /// trajectories bit-identical for any thread count).
-    ParGraph,
     /// USD-specialized sequential engine.
     Sequential,
     /// USD-specialized skip-ahead engine.
@@ -125,20 +116,19 @@ pub enum Backend {
 
 impl Backend {
     /// All backends, in display order.
-    pub const ALL: [Backend; 9] = [
+    pub const ALL: [Backend; 8] = [
         Backend::Agent,
         Backend::Count,
         Backend::Batch,
         Backend::Graph,
         Backend::BatchGraph,
-        Backend::ParGraph,
         Backend::Sequential,
         Backend::SkipAhead,
         Backend::Replica,
     ];
 
     /// The flag-friendly name (`agent`, `count`, `batch`, `graph`,
-    /// `batchgraph`, `pargraph`, `seq`, `skip`, `replica`).
+    /// `batchgraph`, `seq`, `skip`, `replica`).
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Agent => "agent",
@@ -146,7 +136,6 @@ impl Backend {
             Backend::Batch => "batch",
             Backend::Graph => "graph",
             Backend::BatchGraph => "batchgraph",
-            Backend::ParGraph => "pargraph",
             Backend::Sequential => "seq",
             Backend::SkipAhead => "skip",
             Backend::Replica => "replica",
@@ -160,11 +149,7 @@ impl Backend {
     pub fn per_agent_memory(&self) -> bool {
         matches!(
             self,
-            Backend::Agent
-                | Backend::Graph
-                | Backend::BatchGraph
-                | Backend::ParGraph
-                | Backend::Replica
+            Backend::Agent | Backend::Graph | Backend::BatchGraph | Backend::Replica
         )
     }
 
@@ -174,44 +159,24 @@ impl Backend {
         let granularity = match self {
             Backend::Agent | Backend::Count | Backend::Sequential => ObservationGranularity::Event,
             Backend::SkipAhead | Backend::Graph => ObservationGranularity::Event,
-            Backend::Batch | Backend::BatchGraph | Backend::ParGraph | Backend::Replica => {
+            Backend::Batch | Backend::BatchGraph | Backend::Replica => {
                 ObservationGranularity::Block
             }
         };
         Capabilities {
             topologies: matches!(
                 self,
-                Backend::Agent
-                    | Backend::Graph
-                    | Backend::BatchGraph
-                    | Backend::ParGraph
-                    | Backend::Replica
+                Backend::Agent | Backend::Graph | Backend::BatchGraph | Backend::Replica
             ),
             replicas: if matches!(self, Backend::Replica) {
                 pop_proto::simulator::MAX_LANES
             } else {
                 1
             },
-            threads: matches!(self, Backend::Batch | Backend::ParGraph),
+            threads: matches!(self, Backend::Batch),
             observation: granularity,
             checkpointing: true,
         }
-    }
-
-    /// Whether the backend runs on non-clique interaction graphs (accepted
-    /// by [`RunSpec::topology`](crate::RunSpec::topology) /
-    /// [`make_topology_simulator`]).
-    #[deprecated(since = "0.1.0", note = "use Backend::capabilities().topologies")]
-    pub fn supports_topologies(&self) -> bool {
-        self.capabilities().topologies
-    }
-
-    /// Whether the backend packs multiple independent replica lanes into
-    /// one engine pass (accepted by
-    /// [`RunSpec::replicas`](crate::RunSpec::replicas) with r > 1).
-    #[deprecated(since = "0.1.0", note = "use Backend::capabilities().replicas > 1")]
-    pub fn supports_replicas(&self) -> bool {
-        self.capabilities().replicas > 1
     }
 }
 
@@ -227,10 +192,9 @@ pub enum ObservationGranularity {
 
 /// What a [`Backend`] can do, declared in one place.
 ///
-/// Replaces the scattered `supports_*` boolean probes: argument
-/// validation (the CLI's exit-2 paths) and the [`RunSpec`] construction
-/// panics all route through this struct, so adding a backend means
-/// filling in one table instead of auditing every probe call site.
+/// Argument validation (the CLI's exit-2 paths) and the [`RunSpec`]
+/// construction panics all route through this struct, so adding a backend
+/// means filling in one table instead of auditing every probe call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Capabilities {
     /// Runs on non-clique interaction graphs
@@ -268,13 +232,12 @@ impl std::str::FromStr for Backend {
             "batch" => Ok(Backend::Batch),
             "graph" | "graphwise" => Ok(Backend::Graph),
             "batchgraph" | "batch-graph" => Ok(Backend::BatchGraph),
-            "pargraph" | "par-graph" => Ok(Backend::ParGraph),
             "seq" | "sequential" => Ok(Backend::Sequential),
             "skip" | "skip-ahead" => Ok(Backend::SkipAhead),
             "replica" | "ensemble" => Ok(Backend::Replica),
             other => Err(format!(
                 "unknown backend '{other}' (expected \
-                 agent|count|batch|graph|batchgraph|pargraph|seq|skip|replica)"
+                 agent|count|batch|graph|batchgraph|seq|skip|replica)"
             )),
         }
     }
@@ -288,15 +251,16 @@ pub const COMPLETE_GRAPH_MAX_N: u64 = 10_000;
 /// Construct a generic-substrate simulator for `config` as a trait object.
 ///
 /// Every backend is a generic-substrate engine: the six `pop-proto`
-/// engines natively, the two USD-specialized ones through their thin
-/// wrappers, and the replica ensemble engine (default 64 lanes), so
-/// observer-driven experiments select any of the nine interchangeably.
-/// Delegates to [`RunSpec::build_simulator`](crate::RunSpec::build_simulator)
-/// — the one place backends register; clique construction draws no RNG
-/// (replica lane layouts come from an internal fixed-seed stream).
-/// [`Backend::Graph`], [`Backend::BatchGraph`], and [`Backend::ParGraph`]
-/// here mean the *complete* graph (their degenerate clique instance) and
-/// are capped at [`COMPLETE_GRAPH_MAX_N`] agents.
+/// engines natively (the replica ensemble engine with 64 lanes by
+/// default) and the two USD-specialized ones through their thin wrappers,
+/// so observer-driven experiments select any of the eight
+/// interchangeably. Delegates to
+/// [`RunSpec::build_simulator`](crate::RunSpec::build_simulator) — the one
+/// place backends register; clique construction draws no RNG (replica lane
+/// layouts come from an internal fixed-seed stream). [`Backend::Graph`]
+/// and [`Backend::BatchGraph`] here mean the *complete* graph (their
+/// degenerate clique instance) and are capped at [`COMPLETE_GRAPH_MAX_N`]
+/// agents.
 pub fn make_simulator(backend: Backend, config: &UsdConfig) -> Box<dyn Simulator> {
     // Clique construction is RNG-free for every backend; the throwaway
     // stream is never drawn from.
@@ -366,29 +330,6 @@ pub fn classify_counts(
     }
 }
 
-/// Run an already-constructed USD simulator to stabilization in place.
-///
-/// The in-place twin of [`stabilize_with_backend`]: the caller keeps the
-/// simulator, so its per-engine state —
-/// [`telemetry`](pop_proto::Simulator::telemetry) above all — survives the
-/// run. `k` is the opinion count (the simulator holds `k + 1` states with
-/// ⊥ at index `k`); `initial_plurality` feeds the result's plurality
-/// bookkeeping.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).budget(b).run_keeping(rng), or RunSpec::drive for a \
-            simulator you built yourself"
-)]
-pub fn stabilize_simulator(
-    sim: &mut dyn Simulator,
-    k: usize,
-    rng: &mut SimRng,
-    budget: u64,
-    initial_plurality: Option<usize>,
-) -> StabilizationResult {
-    drive_plain(sim, k, rng, budget, initial_plurality)
-}
-
 /// Chunk-boundary observer for the ticking run drivers.
 ///
 /// The drivers call [`RunTicker::tick`] with the live engine after every
@@ -430,122 +371,6 @@ impl<F: FnMut(&dyn Simulator)> RunTicker for F {
     }
 }
 
-/// `stabilize_simulator` with a progress heartbeat: the run is driven in
-/// `~max(4n, 2¹⁶)`-interaction chunks (further bounded by the ticker's
-/// [`horizon`](RunTicker::horizon)) and `tick` observes the engine after
-/// each chunk (the CLI's `--progress-every` stderr heartbeat and the
-/// `--timeline` flight recorder hang off this). Chunk boundaries can
-/// truncate the leaping backends' geometric skip draws, so a ticked run
-/// need not be interaction-identical to the same seed driven without one.
-/// Assumes a freshly constructed simulator (interaction clock at zero),
-/// which is how every caller of [`make_simulator`] holds one.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).ticker(t).budget(b).run_keeping(rng), or \
-            RunSpec::drive for a simulator you built yourself"
-)]
-pub fn stabilize_simulator_ticking(
-    sim: &mut dyn Simulator,
-    k: usize,
-    rng: &mut SimRng,
-    budget: u64,
-    initial_plurality: Option<usize>,
-    tick: &mut dyn RunTicker,
-) -> StabilizationResult {
-    drive_chunked(sim, k, rng, budget, initial_plurality, Some(tick), None)
-}
-
-/// Run `config` to USD stabilization on the chosen backend.
-///
-/// Semantics match [`stabilize`](crate::stabilization::stabilize): the run
-/// ends at silence (consensus or
-/// all-undecided) or when `budget` interactions have been simulated, and
-/// the result reports the winner, the interaction count at the stopping
-/// point, and whether the initial plurality won.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).backend(b).budget(budget).run(rng)"
-)]
-pub fn stabilize_with_backend(
-    backend: Backend,
-    config: &UsdConfig,
-    rng: &mut SimRng,
-    budget: u64,
-) -> StabilizationResult {
-    RunSpec::new(config)
-        .backend(backend)
-        .budget(budget)
-        .run(rng)
-}
-
-/// Run `config` to USD stabilization on a [`TopologyFamily`] graph.
-///
-/// The graph is deterministic in `(family, n, topo_seed)`; the initial
-/// layout and the dynamics draw from `rng`. The run ends at *graph*
-/// silence or budget exhaustion. On disconnected topologies (possible for
-/// `er`) a run can end [`ConsensusOutcome::Frozen`]; the backends detect
-/// this exactly — the `graph` engines natively, the `agent` engine via an
-/// O(m) edge scan every ~4n interactions (amortized O(d/n) per step), the
-/// `replica` engine via its periodic frozen-lane scan. A generated graph
-/// with no edges at all (very sparse `er`) is trivially silent and
-/// classifies immediately without simulating.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).backend(b).topology(f).topo_seed(s).budget(budget).run(rng)"
-)]
-pub fn stabilize_on_topology(
-    backend: Backend,
-    config: &UsdConfig,
-    family: TopologyFamily,
-    topo_seed: u64,
-    rng: &mut SimRng,
-    budget: u64,
-) -> StabilizationResult {
-    RunSpec::new(config)
-        .backend(backend)
-        .topology(family)
-        .topo_seed(topo_seed)
-        .budget(budget)
-        .run(rng)
-}
-
-/// `stabilize_on_topology` for callers that need the engine afterwards:
-/// returns the result together with the simulator, so per-engine state —
-/// [`telemetry`](pop_proto::Simulator::telemetry) above all — survives the
-/// run. `tick` observes the engine after every driving chunk (pass
-/// `&mut |_: &dyn Simulator| {}` for no heartbeat) and can bound chunks
-/// via [`RunTicker::horizon`]. `span_timing` turns the engine's span
-/// clock on before the run and `histograms` its per-event histograms. An
-/// edgeless graph (very sparse `er`) is trivially silent and has no
-/// engine to return — the simulator slot is `None`.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).backend(b).topology(f).topo_seed(s).budget(budget)\
-            .span_timing(st).histograms(h).ticker(t).run_keeping(rng)"
-)]
-pub fn stabilize_on_topology_keeping(
-    backend: Backend,
-    config: &UsdConfig,
-    family: TopologyFamily,
-    topo_seed: u64,
-    rng: &mut SimRng,
-    budget: u64,
-    span_timing: bool,
-    histograms: bool,
-    tick: &mut dyn RunTicker,
-) -> (StabilizationResult, Option<Box<dyn Simulator>>) {
-    RunSpec::new(config)
-        .backend(backend)
-        .topology(family)
-        .topo_seed(topo_seed)
-        .budget(budget)
-        .span_timing(span_timing)
-        .histograms(histograms)
-        .ticker(tick)
-        .run_keeping(rng)
-}
-
 /// Construct the *concrete* agentwise simulator for a topology run —
 /// the engine [`make_topology_simulator`] boxes for [`Backend::Agent`],
 /// unboxed so callers that must interleave the exact frozen-configuration
@@ -566,32 +391,8 @@ pub fn make_agent_topology_simulator(
     AgentSimulator::new(proto, GraphScheduler::new(graph), states)
 }
 
-/// Chunked drive of the agentwise engine on an interaction graph: the
-/// count-level silence criterion inside `run_to_silence` misses frozen
-/// configurations on disconnected graphs, so chunked runs interleave with
-/// the exact O(m) edge-scan criterion. Resumed runs (simulator restored
-/// from a checkpoint, clock mid-flight) drive through exactly the same
-/// loop — chunk boundaries are a pure function of the absolute
-/// interaction clock.
-#[deprecated(
-    since = "0.1.0",
-    note = "use RunSpec::new(config).ticker(t).budget(b).drive_agent_graph(sim, rng)"
-)]
-pub fn stabilize_agent_graph_ticking(
-    sim: &mut AgentSimulator<UndecidedStateDynamics, GraphScheduler>,
-    k: usize,
-    rng: &mut SimRng,
-    budget: u64,
-    initial_plurality: Option<usize>,
-    tick: &mut dyn RunTicker,
-) -> StabilizationResult {
-    drive_agent_graph_chunked(sim, k, rng, budget, initial_plurality, Some(tick), None)
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
-
     use super::*;
     use crate::init::InitialConfigBuilder;
 
@@ -608,51 +409,40 @@ mod tests {
         assert_eq!("skip-ahead".parse::<Backend>().unwrap(), Backend::SkipAhead);
         assert_eq!("graphwise".parse::<Backend>().unwrap(), Backend::Graph);
         assert_eq!("ensemble".parse::<Backend>().unwrap(), Backend::Replica);
-        assert_eq!("par-graph".parse::<Backend>().unwrap(), Backend::ParGraph);
         assert!("warp".parse::<Backend>().is_err());
         assert!(Backend::Agent.per_agent_memory());
         assert!(Backend::Graph.per_agent_memory());
         assert!(!Backend::Batch.per_agent_memory());
-        assert!(Backend::Agent.supports_topologies());
-        assert!(Backend::Graph.supports_topologies());
-        assert!(Backend::BatchGraph.supports_topologies());
         assert!(Backend::BatchGraph.per_agent_memory());
-        assert!(Backend::ParGraph.supports_topologies());
-        assert!(Backend::ParGraph.per_agent_memory());
-        assert!(Backend::Replica.supports_topologies());
         assert!(Backend::Replica.per_agent_memory());
-        assert!(Backend::Replica.supports_replicas());
-        for b in Backend::ALL {
-            assert_eq!(b.supports_replicas(), b == Backend::Replica, "{b}");
-        }
         assert_eq!(
             "batch-graph".parse::<Backend>().unwrap(),
             Backend::BatchGraph
         );
-        assert!(!Backend::Batch.supports_topologies());
-        assert!(!Backend::SkipAhead.supports_topologies());
     }
 
     #[test]
     fn capabilities_declare_the_probe_truth_in_one_place() {
         for b in Backend::ALL {
             let caps = b.capabilities();
-            // The deprecated shims must forward to the struct exactly.
-            assert_eq!(b.supports_topologies(), caps.topologies, "{b}");
-            assert_eq!(b.supports_replicas(), caps.replicas > 1, "{b}");
             assert!(caps.checkpointing, "{b}: every current engine snapshots");
             assert!(caps.replicas >= 1, "{b}");
+            assert_eq!(caps.replicas > 1, b == Backend::Replica, "{b}");
+            assert_eq!(
+                caps.topologies,
+                matches!(
+                    b,
+                    Backend::Agent | Backend::Graph | Backend::BatchGraph | Backend::Replica
+                ),
+                "{b}"
+            );
         }
         assert_eq!(Backend::Replica.capabilities().replicas, 64);
         assert_eq!(Backend::Agent.capabilities().replicas, 1);
-        // Thread-capable engines: the clique batch engine fans its
-        // hypergeometric streams out, and pargraph shards its domains.
+        // The one thread-capable engine: the clique batch engine fans its
+        // hypergeometric streams out.
         for b in Backend::ALL {
-            assert_eq!(
-                b.capabilities().threads,
-                matches!(b, Backend::Batch | Backend::ParGraph),
-                "{b}"
-            );
+            assert_eq!(b.capabilities().threads, b == Backend::Batch, "{b}");
         }
         // Observation granularity mirrors the table in pop_proto::observe.
         for b in [
@@ -668,12 +458,7 @@ mod tests {
                 "{b}"
             );
         }
-        for b in [
-            Backend::Batch,
-            Backend::BatchGraph,
-            Backend::ParGraph,
-            Backend::Replica,
-        ] {
+        for b in [Backend::Batch, Backend::BatchGraph, Backend::Replica] {
             assert_eq!(
                 b.capabilities().observation,
                 ObservationGranularity::Block,
@@ -687,7 +472,7 @@ mod tests {
         let config = UsdConfig::decided(vec![800, 200]);
         for b in Backend::ALL {
             let mut rng = SimRng::new(11);
-            let result = stabilize_with_backend(b, &config, &mut rng, u64::MAX / 2);
+            let result = RunSpec::new(&config).backend(b).run(&mut rng);
             assert!(result.stabilized(), "{b} did not stabilize");
             assert_eq!(
                 result.outcome,
@@ -704,7 +489,10 @@ mod tests {
         let config = UsdConfig::decided(vec![1, 1]);
         for b in Backend::ALL {
             let mut rng = SimRng::new(5);
-            let result = stabilize_with_backend(b, &config, &mut rng, 100_000);
+            let result = RunSpec::new(&config)
+                .backend(b)
+                .budget(100_000)
+                .run(&mut rng);
             assert!(result.stabilized(), "{b}");
             assert_eq!(result.outcome, ConsensusOutcome::AllUndecided, "{b}");
         }
@@ -715,7 +503,7 @@ mod tests {
         let config = UsdConfig::decided(vec![500, 500]);
         for b in Backend::ALL {
             let mut rng = SimRng::new(7);
-            let result = stabilize_with_backend(b, &config, &mut rng, 50);
+            let result = RunSpec::new(&config).backend(b).budget(50).run(&mut rng);
             assert_eq!(result.outcome, ConsensusOutcome::Timeout, "{b}");
             assert!(!result.stabilized(), "{b}");
         }
@@ -739,7 +527,7 @@ mod tests {
         {
             for seed in 0..reps {
                 let mut rng = SimRng::new(seed * 13 + slot as u64);
-                let r = stabilize_with_backend(b, &config, &mut rng, u64::MAX / 2);
+                let r = RunSpec::new(&config).backend(b).run(&mut rng);
                 assert!(r.stabilized());
                 means[slot] += r.interactions as f64;
             }
@@ -814,14 +602,11 @@ mod tests {
             Backend::Replica,
         ] {
             let mut rng = SimRng::new(3);
-            let r = stabilize_on_topology(
-                b,
-                &config,
-                TopologyFamily::Regular { d: 4 },
-                7,
-                &mut rng,
-                u64::MAX / 2,
-            );
+            let r = RunSpec::new(&config)
+                .backend(b)
+                .topology(TopologyFamily::Regular { d: 4 })
+                .topo_seed(7)
+                .run(&mut rng);
             assert!(r.stabilized(), "{b} did not stabilize");
             assert!(r.interactions > 0, "{b}");
         }
@@ -837,14 +622,11 @@ mod tests {
         let counts: Vec<u64> = (0..k).map(|i| if i == 0 { 1_000 } else { 2 }).collect();
         let config = UsdConfig::decided(counts);
         let mut rng = SimRng::new(13);
-        let r = stabilize_on_topology(
-            Backend::BatchGraph,
-            &config,
-            TopologyFamily::Regular { d: 8 },
-            5,
-            &mut rng,
-            u64::MAX / 2,
-        );
+        let r = RunSpec::new(&config)
+            .backend(Backend::BatchGraph)
+            .topology(TopologyFamily::Regular { d: 8 })
+            .topo_seed(5)
+            .run(&mut rng);
         assert!(r.stabilized(), "k = 300 run did not stabilize");
         assert!(r.interactions > 0);
         // The strong bias makes opinion 0 the overwhelming favourite; any
@@ -869,14 +651,11 @@ mod tests {
         let config = UsdConfig::decided(vec![150, 150]);
         for b in [Backend::Agent, Backend::Graph, Backend::BatchGraph] {
             let mut rng = SimRng::new(9);
-            let r = stabilize_on_topology(
-                b,
-                &config,
-                TopologyFamily::ErdosRenyi { avg_degree: 0.8 },
-                3,
-                &mut rng,
-                u64::MAX / 2,
-            );
+            let r = RunSpec::new(&config)
+                .backend(b)
+                .topology(TopologyFamily::ErdosRenyi { avg_degree: 0.8 })
+                .topo_seed(3)
+                .run(&mut rng);
             assert!(r.stabilized(), "{b} did not detect the freeze");
             assert_eq!(r.outcome, ConsensusOutcome::Frozen, "{b}");
             assert!(
@@ -891,16 +670,14 @@ mod tests {
     fn edgeless_topology_classifies_without_simulating() {
         let config = UsdConfig::decided(vec![10, 10]);
         let mut rng = SimRng::new(2);
-        let r = stabilize_on_topology(
-            Backend::Graph,
-            &config,
-            TopologyFamily::ErdosRenyi {
+        let r = RunSpec::new(&config)
+            .backend(Backend::Graph)
+            .topology(TopologyFamily::ErdosRenyi {
                 avg_degree: 1.0e-12,
-            },
-            1,
-            &mut rng,
-            1_000,
-        );
+            })
+            .topo_seed(1)
+            .budget(1_000)
+            .run(&mut rng);
         assert_eq!(r.outcome, ConsensusOutcome::Frozen);
         assert_eq!(r.interactions, 0);
     }
@@ -919,14 +696,23 @@ mod tests {
     fn topology_rejects_clique_only_backends() {
         let config = UsdConfig::decided(vec![4, 4]);
         let mut rng = SimRng::new(1);
-        stabilize_on_topology(
-            Backend::Batch,
-            &config,
-            TopologyFamily::Cycle,
-            0,
-            &mut rng,
-            1_000,
-        );
+        RunSpec::new(&config)
+            .backend(Backend::Batch)
+            .topology(TopologyFamily::Cycle)
+            .budget(1_000)
+            .run(&mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "CSR offsets")]
+    fn topology_rejects_sizes_past_the_u32_offsets_before_generating() {
+        // reg8 at n = 6·10⁸ needs 2m = 4.8·10⁹ adjacency entries; the
+        // check fires from n alone, before any edge is allocated.
+        let config = UsdConfig::decided(vec![300_000_000, 300_000_000]);
+        RunSpec::new(&config)
+            .backend(Backend::BatchGraph)
+            .topology(TopologyFamily::Regular { d: 8 })
+            .build_simulator(&mut SimRng::new(1));
     }
 
     #[test]

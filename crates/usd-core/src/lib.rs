@@ -70,8 +70,6 @@ pub use analysis::{
 pub use backend::{
     make_simulator, make_topology_simulator, Backend, Capabilities, ObservationGranularity,
 };
-#[allow(deprecated)]
-pub use backend::{stabilize_on_topology, stabilize_with_backend};
 pub use checkpoint::{RunCheckpoint, RunIdentity};
 pub use config::UsdConfig;
 pub use dynamics::{

@@ -41,24 +41,20 @@
 //!
 //! Construction without driving is [`RunSpec::build_simulator`] — the one
 //! place every backend (including [`Backend::Replica`]) registers; the
-//! legacy [`make_simulator`](crate::backend::make_simulator) /
+//! [`make_simulator`](crate::backend::make_simulator) /
 //! [`make_topology_simulator`](crate::backend::make_topology_simulator)
 //! helpers delegate here. Resumed runs (engine restored from a
 //! [`RunCheckpoint`](crate::checkpoint::RunCheckpoint), clock mid-flight)
 //! re-enter the identical chunked drive loops through
 //! [`RunSpec::drive`] / [`RunSpec::drive_agent_graph`].
 //!
-//! # Drive-loop equivalence with the legacy entrypoints
+//! # Drive loops
 //!
-//! The builder routes to the same three loops the legacy functions were:
-//! a clique run with no ticker and no observer is a single
-//! `run_to_silence` call (bit-identical to `stabilize_with_backend`);
-//! attaching a ticker or observer switches to the `~max(4n, 2¹⁶)`-chunked
-//! loop (`stabilize_simulator_ticking`); topology runs always drive
-//! chunked, with [`Backend::Agent`] additionally interleaving the exact
-//! O(m) frozen-configuration edge scan (`stabilize_agent_graph_ticking`).
-//! `tests/replica_equivalence.rs` pins builder ↔ wrapper equivalence on
-//! every backend.
+//! The builder routes to one of three loops: a clique run with no ticker
+//! and no observer is a single `run_to_silence` call; attaching a ticker
+//! or observer switches to the `~max(4n, 2¹⁶)`-chunked loop; topology runs
+//! always drive chunked, with [`Backend::Agent`] additionally interleaving
+//! the exact O(m) frozen-configuration edge scan.
 
 use crate::backend::{classify_counts, Backend, RunTicker, COMPLETE_GRAPH_MAX_N};
 use crate::config::UsdConfig;
@@ -68,8 +64,8 @@ use crate::stabilization::StabilizationResult;
 use pop_proto::simulator::{shuffled_layout, MAX_LANES};
 use pop_proto::{
     AgentSimulator, BatchGraphSimulator, BatchSimulator, CliqueScheduler, CountSimulator, Graph,
-    GraphScheduler, GraphSimulator, Observation, ParGraphSimulator, Protocol, ReplicaSimulator,
-    SimObserver, Simulator, StateWord, TopologyFamily, WideBatchGraphSimulator,
+    GraphScheduler, GraphSimulator, Observation, Protocol, ReplicaSimulator, SimObserver,
+    Simulator, StateWord, TopologyFamily, WideBatchGraphSimulator,
 };
 use sim_stats::rng::SimRng;
 use sim_stats::threads::resolve_threads;
@@ -168,14 +164,13 @@ impl<'a> RunSpec<'a> {
 
     /// Cap the worker threads of the thread-capable engines
     /// (`capabilities().threads`: the clique batch engine's
-    /// hypergeometric-stream fan-out and the pargraph engine's domain
-    /// shards). Defaults to the process-wide resolution at builder
-    /// construction — override > `USD_THREADS` > available parallelism —
-    /// so engines receive the value as plain data and never read the
-    /// environment themselves. Thread count is **bit-neutral** on every
-    /// engine: any value produces identical trajectories; only wall-clock
-    /// changes. Values are clamped to ≥ 1; thread-incapable backends
-    /// ignore it.
+    /// hypergeometric-stream fan-out). Defaults to the process-wide
+    /// resolution at builder construction — override > `USD_THREADS` >
+    /// available parallelism — so engines receive the value as plain data
+    /// and never read the environment themselves. Thread count is
+    /// **bit-neutral** on every engine: any value produces identical
+    /// trajectories; only wall-clock changes. Values are clamped to ≥ 1;
+    /// thread-incapable backends ignore it.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -269,15 +264,27 @@ impl<'a> RunSpec<'a> {
         match self.topology {
             None => self.build_clique(),
             Some(family) => {
-                assert!(
-                    self.backend.capabilities().topologies,
-                    "{} cannot run graph topologies (use agent or graph)",
-                    self.backend
-                );
-                let graph = family.build(self.config.n() as usize, self.topo_seed);
+                let graph = self.build_graph(family);
                 self.build_on_graph(graph, rng)
             }
         }
+    }
+
+    /// Generate the topology graph, after the checks that need no
+    /// allocation: the backend must run topologies, and the size must fit
+    /// the graph's `u32` ids and offsets
+    /// ([`TopologyFamily::check_size`]).
+    fn build_graph(&self, family: TopologyFamily) -> Graph {
+        assert!(
+            self.backend.capabilities().topologies,
+            "{} cannot run graph topologies (use agent or graph)",
+            self.backend
+        );
+        let n = self.config.n() as usize;
+        if let Err(why) = family.check_size(n) {
+            panic!("{why}");
+        }
+        family.build(n, self.topo_seed)
     }
 
     fn build_clique(&self) -> Box<dyn Simulator> {
@@ -294,7 +301,7 @@ impl<'a> RunSpec<'a> {
             Backend::Batch => {
                 Box::new(BatchSimulator::new(proto, &counts).with_threads(self.threads))
             }
-            Backend::Graph | Backend::BatchGraph | Backend::ParGraph => {
+            Backend::Graph | Backend::BatchGraph => {
                 // Degenerate clique instance: the complete graph,
                 // materialized as a Θ(n²) edge list — demo/ablation
                 // territory. Refuse sizes whose edge list would silently
@@ -311,15 +318,6 @@ impl<'a> RunSpec<'a> {
                 let graph = TopologyFamily::Complete.build(self.config.n() as usize, 0);
                 if self.backend == Backend::Graph {
                     Box::new(GraphSimulator::from_config(proto, &graph, &counts))
-                } else if self.backend == Backend::ParGraph {
-                    // Canonical block layout, like the scalar graph
-                    // engine's `from_config` — clique construction stays
-                    // RNG-free.
-                    let mut states = Vec::with_capacity(counts.n() as usize);
-                    for (idx, &c) in counts.counts().iter().enumerate() {
-                        states.extend(std::iter::repeat_n(idx, c as usize));
-                    }
-                    Box::new(ParGraphSimulator::new(proto, &graph, states, self.threads))
                 } else if proto.num_states() <= <u8 as StateWord>::LIMIT {
                     Box::new(BatchGraphSimulator::from_config(proto, &graph, &counts))
                 } else {
@@ -373,13 +371,6 @@ impl<'a> RunSpec<'a> {
                 let states = shuffled_layout(&counts, rng);
                 Box::new(WideBatchGraphSimulator::with_states(proto, &graph, states))
             }
-            Backend::ParGraph => Box::new(ParGraphSimulator::from_config_shuffled(
-                proto,
-                &graph,
-                &counts,
-                rng,
-                self.threads,
-            )),
             Backend::Replica => {
                 let layouts: Vec<Vec<usize>> =
                     (0..lanes).map(|_| shuffled_layout(&counts, rng)).collect();
@@ -409,12 +400,7 @@ impl<'a> RunSpec<'a> {
         let mut observer = self.observer.take();
         match self.topology {
             Some(family) => {
-                assert!(
-                    self.backend.capabilities().topologies,
-                    "{} cannot run graph topologies (use agent or graph)",
-                    self.backend
-                );
-                let graph = family.build(self.config.n() as usize, self.topo_seed);
+                let graph = self.build_graph(family);
                 if graph.num_edges() == 0 {
                     // Edgeless graph: nothing can ever interact.
                     let counts = self.config.to_count_config();
@@ -482,9 +468,8 @@ impl<'a> RunSpec<'a> {
                     drive_chunked(sim.as_mut(), k, rng, budget, plurality, ticker, observer)
                 } else {
                     // No instrumentation: a single uninterrupted
-                    // `run_to_silence`, bit-identical to the legacy
-                    // fire-and-forget path (chunk boundaries can truncate
-                    // the leaping backends' geometric skip draws, so this
+                    // `run_to_silence` (chunk boundaries can truncate the
+                    // leaping backends' geometric skip draws, so this
                     // distinction is observable).
                     drive_plain(sim.as_mut(), k, rng, budget, plurality)
                 };
@@ -544,9 +529,8 @@ impl SimObserver for StopWatch<'_, '_> {
     }
 }
 
-/// Single uninterrupted `run_to_silence` + classification — the legacy
-/// `stabilize_simulator` body.
-pub(crate) fn drive_plain(
+/// Single uninterrupted `run_to_silence` + classification.
+fn drive_plain(
     sim: &mut dyn Simulator,
     k: usize,
     rng: &mut SimRng,
@@ -557,11 +541,9 @@ pub(crate) fn drive_plain(
     classify_counts(sim.counts(), k, interactions, stabilized, initial_plurality)
 }
 
-/// The `~max(4n, 2¹⁶)`-chunked drive loop — the legacy
-/// `stabilize_simulator_ticking` body, generalized to optional ticker and
-/// observer. With `observer: None` and `ticker: Some(_)` the loop (and its
-/// RNG stream) is identical to the legacy function.
-pub(crate) fn drive_chunked(
+/// The `~max(4n, 2¹⁶)`-chunked drive loop, with an optional ticker and
+/// observer.
+fn drive_chunked(
     sim: &mut dyn Simulator,
     k: usize,
     rng: &mut SimRng,
@@ -605,23 +587,18 @@ pub(crate) fn drive_chunked(
 
 /// Whether no edge of `graph` can change any state under `proto` — the
 /// exact graph-silence criterion, from explicit per-agent states.
-pub(crate) fn graph_silent(
-    proto: &UndecidedStateDynamics,
-    graph: &Graph,
-    states: &[usize],
-) -> bool {
+fn graph_silent(proto: &UndecidedStateDynamics, graph: &Graph, states: &[usize]) -> bool {
     graph.edges().iter().all(|&(a, b)| {
         let (sa, sb) = (states[a as usize], states[b as usize]);
         proto.is_noop(sa, sb) && proto.is_noop(sb, sa)
     })
 }
 
-/// Chunked drive of the concrete agentwise engine on an interaction graph
-/// — the legacy `stabilize_agent_graph_ticking` body, generalized to
-/// optional ticker and observer. The count-level silence criterion inside
+/// Chunked drive of the concrete agentwise engine on an interaction graph,
+/// with an optional ticker and observer. The count-level silence criterion inside
 /// `run_to_silence` misses frozen configurations on disconnected graphs,
 /// so chunk boundaries interleave the exact O(m) edge scan.
-pub(crate) fn drive_agent_graph_chunked(
+fn drive_agent_graph_chunked(
     sim: &mut AgentSimulator<UndecidedStateDynamics, GraphScheduler>,
     k: usize,
     rng: &mut SimRng,

@@ -1,6 +1,7 @@
 //! E11: USD vs four-state exact majority, voter, 3-majority, and synchronized USD.
 //!
-//! See DESIGN.md §4 (E11) and EXPERIMENTS.md for the recorded results.
+//! E11 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,7 @@
 //! E8: majority win rate and stabilization time across the initial-bias grid.
 //!
-//! See DESIGN.md §4 (E8) and EXPERIMENTS.md for the recorded results.
+//! E8 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

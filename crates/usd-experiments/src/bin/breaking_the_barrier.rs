@@ -1,7 +1,8 @@
 //! E13: plain USD vs the idealized synchronized elimination tournament —
 //! the paper's §4 "break the lower bound barrier" open question.
 //!
-//! See DESIGN.md §4 (E13) and EXPERIMENTS.md for the recorded results.
+//! E13 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,7 @@
 //! E1: regenerate Figure 1 (left) — trajectory of majority, minorities (×k) and undecided count.
 //!
-//! See DESIGN.md §4 (E1) and EXPERIMENTS.md for the recorded results.
+//! E1 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,7 @@
 //! E2: regenerate Figure 1 (right) — zoom until the majority doubles, with the max difference.
 //!
-//! See DESIGN.md §4 (E2) and EXPERIMENTS.md for the recorded results.
+//! E2 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

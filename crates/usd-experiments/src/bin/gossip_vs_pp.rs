@@ -1,6 +1,7 @@
 //! E9: population-protocol vs Gossip-model USD, with per-node flip statistics.
 //!
-//! See DESIGN.md §4 (E9) and EXPERIMENTS.md for the recorded results.
+//! E9 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

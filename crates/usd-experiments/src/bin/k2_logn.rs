@@ -1,6 +1,7 @@
 //! E10: the k = 2 special case — O(log n) stabilization.
 //!
-//! See DESIGN.md §4 (E10) and EXPERIMENTS.md for the recorded results.
+//! E10 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,7 @@
 //! E3: verify the Lemma 3.1 ceiling on the undecided count.
 //!
-//! See DESIGN.md §4 (E3) and EXPERIMENTS.md for the recorded results.
+//! E3 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

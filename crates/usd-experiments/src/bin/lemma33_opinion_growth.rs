@@ -1,6 +1,7 @@
 //! E4: verify Lemma 3.3 — opinion growth 3n/2k → 2n/k needs ≥ kn/25 interactions.
 //!
-//! See DESIGN.md §4 (E4) and EXPERIMENTS.md for the recorded results.
+//! E4 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

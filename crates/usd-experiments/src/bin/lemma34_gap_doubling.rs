@@ -1,6 +1,7 @@
 //! E5: verify Lemma 3.4 — max-gap doubling needs ≥ kn/24 interactions.
 //!
-//! See DESIGN.md §4 (E5) and EXPERIMENTS.md for the recorded results.
+//! E5 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,7 @@
 //! E12: distributional equivalence and throughput of the three exact engines.
 //!
-//! See DESIGN.md §4 (E12) and EXPERIMENTS.md for the recorded results.
+//! E12 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,7 @@
 //! E6: Theorem 3.5 stabilization-time scaling vs the lower-bound curve.
 //!
-//! See DESIGN.md §4 (E6) and EXPERIMENTS.md for the recorded results.
+//! E6 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -1,6 +1,7 @@
 //! E7: tightness band — measured time between the lower bound and the Amir et al. upper bound.
 //!
-//! See DESIGN.md §4 (E7) and EXPERIMENTS.md for the recorded results.
+//! E7 in the README's "Experiments × backends" section lists the
+//! backends this binary accepts and its default.
 
 fn main() {
     let args = usd_experiments::ExpArgs::from_env();

@@ -18,7 +18,7 @@
 //!                  E6/E7/E10, E8, E11, and E13: any generic backend;
 //!                  topology_sweep: any backend whose
 //!                  `capabilities().topologies` holds — agent, graph,
-//!                  batchgraph, pargraph, replica)
+//!                  batchgraph, replica)
 //! --timeline-dir <dir>
 //!                  write one flight-recorder JSONL per sweep cell from
 //!                  the cell's representative run (topology_sweep only)

@@ -10,7 +10,8 @@
 //! * **E11 (baseline comparison)**: USD vs the four-state exact-majority
 //!   protocol, voter dynamics, 3-majority, and synchronized USD.
 //! * **E12 (simulator ablation)**: distributional equivalence and relative
-//!   speed of the three exact engines (DESIGN.md §7).
+//!   speed of the three exact engines (see the README's "Simulation
+//!   backends" section).
 //!
 //! The USD measurements in E8 and E11 run through the generic backend
 //! layer and honor `--backend`; E12 is inherently engine-specific (it *is*

@@ -71,7 +71,7 @@ pub fn validate_args(args: &ExpArgs) -> Result<(), String> {
     if !backend.capabilities().topologies {
         return Err(format!(
             "--backend {backend} cannot run graph topologies \
-             (use graph, batchgraph, pargraph, agent, or replica)"
+             (use graph, batchgraph, agent, or replica)"
         ));
     }
     if let (Some(family), Some(d)) = (args.topology, args.degree) {
@@ -508,7 +508,7 @@ pub fn topology_report(args: &ExpArgs) -> Report {
     assert!(
         backend.capabilities().topologies,
         "--backend {backend} cannot run graph topologies \
-         (use graph, batchgraph, pargraph, agent, or replica)"
+         (use graph, batchgraph, agent, or replica)"
     );
     let single_family = args.topology.is_some();
     let ns: Vec<u64> = if args.quick {

@@ -10,8 +10,9 @@
 //! * a generic **population-protocol substrate** ([`pop_proto`]) —
 //!   protocols, schedulers (uniform clique and graph-restricted), seeded
 //!   interaction-graph family generators (cycle, torus, hypercube, random
-//!   regular, Erdős–Rényi), and four exact simulators including the
-//!   batch-leaping clique engine and the active-edge graph engine;
+//!   regular, Erdős–Rényi), and six exact simulators including the
+//!   batch-leaping clique engine, the active-edge and batch-leaping graph
+//!   engines, and the bit-parallel replica ensemble engine;
 //! * the **Undecided State Dynamics** and its full analysis toolkit
 //!   ([`usd_core`]) — the paper's object of study, including the exact
 //!   one-step drifts, thresholds, and bound curves from the proof;
@@ -22,7 +23,8 @@
 //!   majority, voter dynamics, 3-majority, Gossip-model and synchronized
 //!   USD;
 //! * an **experiment harness** ([`usd_experiments`]) regenerating every
-//!   figure and quantitative claim (DESIGN.md lists the experiment index);
+//!   figure and quantitative claim (the README's "Experiments × backends"
+//!   section lists the experiment index);
 //! * shared **statistics utilities** ([`sim_stats`]).
 //!
 //! ## Quickstart
@@ -59,8 +61,6 @@ pub mod prelude {
         expected_gap_drift, expected_undecided_drift, monochromatic_distance, undecided_plateau,
     };
     pub use usd_core::backend::Backend;
-    #[allow(deprecated)]
-    pub use usd_core::backend::{stabilize_on_topology, stabilize_with_backend};
     pub use usd_core::dynamics::{
         run_until_stable, SequentialUsd, SkipAheadUsd, UsdEvent, UsdSimulator,
     };

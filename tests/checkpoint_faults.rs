@@ -9,6 +9,7 @@
 //! abort cannot run inside a test thread.
 
 use pop_proto::checkpoint::{FaultPlan, SnapshotReader, SnapshotWriter};
+use pop_proto::simulator::snapshot_tags;
 use sim_stats::rng::SimRng;
 use usd_core::backend::{make_simulator, Backend};
 use usd_core::config::UsdConfig;
@@ -118,6 +119,20 @@ fn fuzzed_engine_payload_never_panics_restore() {
                 other.name()
             );
         }
+        // A payload carrying the retired sharded-engine tag (reserved, never
+        // reused) is rejected by that tag on every remaining engine. Every
+        // payload starts with its engine tag byte.
+        let mut retired = good.clone();
+        retired[0] = snapshot_tags::PAR_GRAPH;
+        let mut sim = make_simulator(backend, &config);
+        let err = sim
+            .restore_state(&mut SnapshotReader::new(&retired))
+            .expect_err("a retired-tag payload restored");
+        assert!(
+            err.to_string().contains("retired"),
+            "{}: {err}",
+            backend.name()
+        );
     }
 }
 

@@ -4,7 +4,7 @@
 //! engines already count, so these tests pin the identities that make a
 //! run report trustworthy:
 //!
-//! * **clock identity** (exact, all seven backends): `telemetry.scheduled`
+//! * **clock identity** (exact, every backend): `telemetry.scheduled`
 //!   equals the engine's `interactions()` equals the observer's cumulative
 //!   scheduled counter, and likewise for `effective` — after a full run
 //!   and at every observation boundary;
