@@ -6,8 +6,6 @@
 //! general model and the experiment suite can contrast clique behaviour with
 //! restricted topologies.
 
-use sim_stats::rng::SimRng;
-
 /// Largest vertex count, and largest adjacency-entry count (2m), a
 /// [`Graph`] can hold: vertex ids, edge ids and the CSR offsets of
 /// [`Graph::csr_adjacency`] are all `u32`.
@@ -30,16 +28,35 @@ pub(crate) fn size_violation(n: u64, adjacency_entries: u128) -> Option<String> 
     }
 }
 
+/// Compressed-sparse-row adjacency `(offsets, entries)`; see
+/// [`Graph::csr_adjacency`].
+type Csr = (Vec<u32>, Vec<(u32, u32)>);
+
 /// An undirected interaction graph on `n` vertices, stored as an edge list.
 ///
 /// The clique is deliberately *not* materialized as an edge list (that would
 /// be Θ(n²) memory); use [`crate::scheduler::CliqueScheduler`] for the
 /// paper's model instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Equality compares `n` and the edge list only: a graph that carries its
+/// generator's CSR adjacency equals its [`Graph::from_edges`] copy.
+#[derive(Debug, Clone)]
 pub struct Graph {
     n: usize,
     edges: Vec<(u32, u32)>,
+    /// The CSR adjacency, when the generator built it on the way (random
+    /// regular graphs); `None` means [`Graph::csr_adjacency`] scatters it
+    /// from the edge list on demand.
+    csr: Option<Csr>,
 }
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.edges == other.edges
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Build from an explicit edge list. Self-loops and out-of-range
@@ -63,7 +80,31 @@ impl Graph {
         if let Some(why) = size_violation(n as u64, 2 * edges.len() as u128) {
             panic!("graph too large: {why}");
         }
-        Graph { n, edges }
+        Graph {
+            n,
+            edges,
+            csr: None,
+        }
+    }
+
+    /// A `d`-regular graph together with its CSR entries, which must be
+    /// exactly [`Graph::csr_adjacency`]'s output for `edges`: vertex `v`'s
+    /// `d` entries at `adj[v·d..(v+1)·d]`, in edge-index order. The
+    /// random-regular generator builds them anyway, so the engines take
+    /// them instead of scattering the edge list a second time.
+    pub(crate) fn regular_with_csr(
+        n: usize,
+        d: usize,
+        edges: Vec<(u32, u32)>,
+        adj: Vec<(u32, u32)>,
+    ) -> Self {
+        assert_eq!(adj.len(), n * d, "CSR entries do not match n·d");
+        assert_eq!(2 * edges.len(), adj.len(), "CSR entries do not match 2m");
+        let mut graph = Self::sized(n, edges);
+        // `sized` bounds n·d = 2m by MAX_GRAPH_SIZE, so the offsets fit.
+        let offsets = (0..=n).map(|v| (v * d) as u32).collect();
+        graph.csr = Some((offsets, adj));
+        graph
     }
 
     /// Cycle C_n (ring). Requires n ≥ 3.
@@ -105,21 +146,6 @@ impl Graph {
         Self::sized(rows * cols, edges)
     }
 
-    /// Erdős–Rényi G(n, p): each of the C(n,2) edges present independently
-    /// with probability `p`.
-    pub fn erdos_renyi(n: usize, p: f64, rng: &mut SimRng) -> Self {
-        assert!((0.0..=1.0).contains(&p), "p must be a probability");
-        let mut edges = Vec::new();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if rng.bernoulli(p) {
-                    edges.push((a as u32, b as u32));
-                }
-            }
-        }
-        Self::sized(n, edges)
-    }
-
     /// Number of vertices.
     pub fn n(&self) -> usize {
         self.n
@@ -137,31 +163,23 @@ impl Graph {
 
     /// Compressed-sparse-row adjacency: returns `(offsets, entries)` where
     /// vertex `v` owns `entries[offsets[v]..offsets[v + 1]]`, each entry a
-    /// `(neighbor, edge index)` pair. The `u32` offsets count up to 2m,
-    /// which construction keeps within [`MAX_GRAPH_SIZE`]. The simulation engines
+    /// `(neighbor, edge index)` pair in edge-index order. The `u32`
+    /// offsets count up to 2m, which construction keeps within
+    /// [`MAX_GRAPH_SIZE`]. The simulation engines
     /// ([`GraphSimulator`](crate::simulator::GraphSimulator),
-    /// [`BatchGraphSimulator`](crate::simulator::BatchGraphSimulator)) build
-    /// this once at construction to re-weight the ≤ d edges incident to a
+    /// [`BatchGraphSimulator`](crate::simulator::BatchGraphSimulator)) hold
+    /// it (through [`CsrGraph`]) to re-weight the ≤ d edges incident to a
     /// changed agent without scanning the edge list.
+    ///
+    /// Random regular graphs carry the CSR from generation: the
+    /// generator's per-vertex dedup rows, sorted by edge index, are exactly
+    /// this output, so it is returned as a copy. Every other graph builds
+    /// it here with a counting pass and a scatter pass over the edge list.
     pub fn csr_adjacency(&self) -> (Vec<u32>, Vec<(u32, u32)>) {
-        let n = self.n;
-        let mut offsets = vec![0u32; n + 1];
-        for &(a, b) in &self.edges {
-            offsets[a as usize + 1] += 1;
-            offsets[b as usize + 1] += 1;
+        match &self.csr {
+            Some(csr) => csr.clone(),
+            None => scatter_csr(self.n, &self.edges),
         }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut cursor = offsets.clone();
-        let mut adj = vec![(0u32, 0u32); 2 * self.edges.len()];
-        for (e, &(a, b)) in self.edges.iter().enumerate() {
-            adj[cursor[a as usize] as usize] = (b, e as u32);
-            cursor[a as usize] += 1;
-            adj[cursor[b as usize] as usize] = (a, e as u32);
-            cursor[b as usize] += 1;
-        }
-        (offsets, adj)
     }
 
     /// Per-vertex degrees.
@@ -200,6 +218,70 @@ impl Graph {
             }
         }
         visited == self.n
+    }
+}
+
+/// The scatter-pass CSR build behind [`Graph::csr_adjacency`].
+fn scatter_csr(n: usize, edges: &[(u32, u32)]) -> Csr {
+    let mut offsets = vec![0u32; n + 1];
+    for &(a, b) in edges {
+        offsets[a as usize + 1] += 1;
+        offsets[b as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut cursor = offsets.clone();
+    let mut adj = vec![(0u32, 0u32); 2 * edges.len()];
+    for (e, &(a, b)) in edges.iter().enumerate() {
+        adj[cursor[a as usize] as usize] = (b, e as u32);
+        cursor[a as usize] += 1;
+        adj[cursor[b as usize] as usize] = (a, e as u32);
+        cursor[b as usize] += 1;
+    }
+    (offsets, adj)
+}
+
+/// A graph in the form the graph engines hold it: the edge list plus its
+/// CSR adjacency ([`Graph::csr_adjacency`]). Engine constructors take
+/// `impl Into<CsrGraph>`, so they accept either
+///
+/// - an owned [`Graph`], whose edge list and generator-built CSR (if any)
+///   move in without a copy, or
+/// - a `&Graph`, which copies the edge list and the CSR and leaves the
+///   graph with the caller.
+#[derive(Debug)]
+pub struct CsrGraph {
+    pub(crate) n: usize,
+    pub(crate) edges: Vec<(u32, u32)>,
+    pub(crate) offsets: Vec<u32>,
+    pub(crate) adj: Vec<(u32, u32)>,
+}
+
+impl From<Graph> for CsrGraph {
+    fn from(graph: Graph) -> Self {
+        let (offsets, adj) = match graph.csr {
+            Some(csr) => csr,
+            None => scatter_csr(graph.n, &graph.edges),
+        };
+        CsrGraph {
+            n: graph.n,
+            edges: graph.edges,
+            offsets,
+            adj,
+        }
+    }
+}
+
+impl From<&Graph> for CsrGraph {
+    fn from(graph: &Graph) -> Self {
+        let (offsets, adj) = graph.csr_adjacency();
+        CsrGraph {
+            n: graph.n,
+            edges: graph.edges.clone(),
+            offsets,
+            adj,
+        }
     }
 }
 
@@ -243,29 +325,6 @@ mod tests {
         // Edge count: 3*(4-1) horizontal + (3-1)*4 vertical = 9 + 8.
         assert_eq!(g.num_edges(), 17);
         assert!(g.is_connected());
-    }
-
-    #[test]
-    fn erdos_renyi_extremes() {
-        let mut rng = SimRng::new(8);
-        let empty = Graph::erdos_renyi(10, 0.0, &mut rng);
-        assert_eq!(empty.num_edges(), 0);
-        assert!(!empty.is_connected());
-        let full = Graph::erdos_renyi(10, 1.0, &mut rng);
-        assert_eq!(full.num_edges(), 45);
-        assert!(full.is_connected());
-    }
-
-    #[test]
-    fn erdos_renyi_edge_count_concentrates() {
-        let mut rng = SimRng::new(9);
-        let g = Graph::erdos_renyi(100, 0.3, &mut rng);
-        let expect = 0.3 * 4950.0;
-        assert!(
-            (g.num_edges() as f64 - expect).abs() < 160.0,
-            "edges {}",
-            g.num_edges()
-        );
     }
 
     #[test]

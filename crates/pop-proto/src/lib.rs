@@ -82,7 +82,7 @@ pub mod trace;
 
 pub use checkpoint::{CheckpointError, FaultPlan, SnapshotReader, SnapshotWriter};
 pub use config::CountConfig;
-pub use graph::Graph;
+pub use graph::{CsrGraph, Graph};
 pub use metrics::{interactions_for_parallel_time, parallel_time};
 pub use observe::{Observation, SimObserver, StridedObserver};
 pub use protocol::{OneWayEpidemic, Protocol};

@@ -93,7 +93,7 @@
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::config::CountConfig;
-use crate::graph::Graph;
+use crate::graph::CsrGraph;
 use crate::protocol::Protocol;
 use crate::simulator::sparse::{
     orient_event, SparseSkipper, SparseStep, SPARSE_BLOCK_EVENTS, SPARSE_TRIGGER_NOOPS,
@@ -245,14 +245,9 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     /// packing width. The graph must have at least one edge and as many
     /// vertices as there are states, and the protocol's alphabet must fit
     /// the width (`k ≤ S::LIMIT`; use [`WideBatchGraphSimulator`] past
-    /// 256 states).
-    pub fn with_states(protocol: P, graph: &Graph, states: Vec<usize>) -> Self {
-        assert_eq!(
-            states.len(),
-            graph.n(),
-            "agent count does not match graph vertex count"
-        );
-        assert!(graph.num_edges() > 0, "batch-graph engine needs edges");
+    /// 256 states). An owned [`Graph`](crate::Graph) moves its edge list
+    /// and CSR into the engine; a `&Graph` is copied (see [`CsrGraph`]).
+    pub fn with_states(protocol: P, graph: impl Into<CsrGraph>, states: Vec<usize>) -> Self {
         let k = protocol.num_states();
         assert!(
             k <= S::LIMIT,
@@ -277,15 +272,28 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
                 S::pack(s)
             })
             .collect();
-        let (offsets, adj) = graph.csr_adjacency();
-        let chunk = ((graph.n() as f64).sqrt() as usize).clamp(CHUNK_MIN, CHUNK_MAX);
+        // The graph converts after the layout has narrowed, so a copied
+        // CSR never coexists with the `usize` states (peak memory).
+        let CsrGraph {
+            n,
+            edges,
+            offsets,
+            adj,
+        } = graph.into();
+        assert_eq!(
+            states.len(),
+            n,
+            "agent count does not match graph vertex count"
+        );
+        assert!(!edges.is_empty(), "batch-graph engine needs edges");
+        let chunk = ((n as f64).sqrt() as usize).clamp(CHUNK_MIN, CHUNK_MAX);
         // ~64 bitmap bits per possible dirty vertex of a chunk keeps the
         // hash false-positive rate (which only shortens blocks) below ~3%
         // even for a fully effective chunk, at ≤ 32 KiB of cache footprint.
         let bits = (chunk * 64).next_power_of_two();
         BatchGraphSimulator {
             protocol,
-            edges: graph.edges().to_vec(),
+            edges,
             offsets,
             adj,
             states,
@@ -315,7 +323,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     /// [`GraphSimulator::from_config_shuffled`](super::GraphSimulator::from_config_shuffled)).
     pub fn with_config_shuffled(
         protocol: P,
-        graph: &Graph,
+        graph: impl Into<CsrGraph>,
         config: &CountConfig,
         rng: &mut SimRng,
     ) -> Self {
@@ -815,7 +823,7 @@ impl<P: Protocol> BatchGraphSimulator<P> {
     /// as many vertices as there are states; protocols with more than 256
     /// states construct through the [`WideBatchGraphSimulator`] alias
     /// instead (`make_topology_simulator` routes on `k` automatically).
-    pub fn new(protocol: P, graph: &Graph, states: Vec<usize>) -> Self {
+    pub fn new(protocol: P, graph: impl Into<CsrGraph>, states: Vec<usize>) -> Self {
         Self::with_states(protocol, graph, states)
     }
 
@@ -824,7 +832,7 @@ impl<P: Protocol> BatchGraphSimulator<P> {
     /// topologies.
     pub fn from_config_shuffled(
         protocol: P,
-        graph: &Graph,
+        graph: impl Into<CsrGraph>,
         config: &CountConfig,
         rng: &mut SimRng,
     ) -> Self {
@@ -834,7 +842,7 @@ impl<P: Protocol> BatchGraphSimulator<P> {
     /// Create from a count configuration with a block layout. Only
     /// appropriate when the layout is irrelevant (the complete graph);
     /// prefer [`BatchGraphSimulator::from_config_shuffled`] otherwise.
-    pub fn from_config(protocol: P, graph: &Graph, config: &CountConfig) -> Self {
+    pub fn from_config(protocol: P, graph: impl Into<CsrGraph>, config: &CountConfig) -> Self {
         let mut states = Vec::with_capacity(config.n() as usize);
         for (idx, &c) in config.counts().iter().enumerate() {
             states.extend(std::iter::repeat_n(idx, c as usize));
@@ -999,6 +1007,7 @@ impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
     use crate::protocol::OneWayEpidemic;
 
     fn epidemic_on(graph: &Graph, infected: usize) -> BatchGraphSimulator<OneWayEpidemic> {

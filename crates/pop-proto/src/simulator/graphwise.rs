@@ -70,7 +70,7 @@
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::config::CountConfig;
-use crate::graph::Graph;
+use crate::graph::CsrGraph;
 use crate::protocol::Protocol;
 use crate::simulator::sparse::{orient_event, SparseSkipper, SparseStep, SPARSE_TRIGGER_NOOPS};
 use crate::simulator::{snapshot_tags, Simulator};
@@ -133,14 +133,9 @@ pub struct GraphSimulator<P: Protocol> {
 impl<P: Protocol> GraphSimulator<P> {
     /// Create from explicit per-agent states (dense indices). The graph
     /// must have at least one edge and as many vertices as there are
-    /// states.
-    pub fn new(protocol: P, graph: &Graph, states: Vec<usize>) -> Self {
-        assert_eq!(
-            states.len(),
-            graph.n(),
-            "agent count does not match graph vertex count"
-        );
-        assert!(graph.num_edges() > 0, "graphwise engine needs edges");
+    /// states. An owned [`Graph`](crate::Graph) moves its edge list and
+    /// CSR into the engine; a `&Graph` is copied (see [`CsrGraph`]).
+    pub fn new(protocol: P, graph: impl Into<CsrGraph>, states: Vec<usize>) -> Self {
         let k = protocol.num_states();
         let mut table = Vec::with_capacity(k * k);
         let mut noop = Vec::with_capacity(k * k);
@@ -160,9 +155,20 @@ impl<P: Protocol> GraphSimulator<P> {
                 s as u32
             })
             .collect();
-
-        let edges = graph.edges().to_vec();
-        let (offsets, adj) = graph.csr_adjacency();
+        // The graph converts after the layout has narrowed, so a copied
+        // CSR never coexists with the `usize` states (peak memory).
+        let CsrGraph {
+            n,
+            edges,
+            offsets,
+            adj,
+        } = graph.into();
+        assert_eq!(
+            states.len(),
+            n,
+            "agent count does not match graph vertex count"
+        );
+        assert!(!edges.is_empty(), "graphwise engine needs edges");
 
         GraphSimulator {
             protocol,
@@ -190,7 +196,7 @@ impl<P: Protocol> GraphSimulator<P> {
     /// the generator's vertex numbering.
     pub fn from_config_shuffled(
         protocol: P,
-        graph: &Graph,
+        graph: impl Into<CsrGraph>,
         config: &CountConfig,
         rng: &mut SimRng,
     ) -> Self {
@@ -202,7 +208,7 @@ impl<P: Protocol> GraphSimulator<P> {
     /// `0..c₀` in state 0, the next `c₁` in state 1, …). Only appropriate
     /// when the layout is irrelevant — i.e. the complete graph; prefer
     /// [`GraphSimulator::from_config_shuffled`] for real topologies.
-    pub fn from_config(protocol: P, graph: &Graph, config: &CountConfig) -> Self {
+    pub fn from_config(protocol: P, graph: impl Into<CsrGraph>, config: &CountConfig) -> Self {
         let mut states = Vec::with_capacity(config.n() as usize);
         for (idx, &c) in config.counts().iter().enumerate() {
             states.extend(std::iter::repeat_n(idx, c as usize));
@@ -719,6 +725,7 @@ impl<P: Protocol> Simulator for GraphSimulator<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
     use crate::protocol::OneWayEpidemic;
     use crate::scheduler::GraphScheduler;
 

@@ -243,7 +243,7 @@ pub trait Simulator {
     /// Engine telemetry accumulated over this simulator's lifetime: what
     /// the *engine* did (phases, blocks, draws, flushes, fallbacks) to
     /// simulate what the counters above report the *protocol* did. All
-    /// seven backends override this; the default returns a shared all-zero
+    /// eight backends override this; the default returns a shared all-zero
     /// instance so external `Simulator` implementations keep compiling.
     /// Counters a backend has no mechanism for stay zero — see the
     /// per-backend table in `usd_core::backend`.
@@ -282,7 +282,7 @@ pub trait Simulator {
     /// [`Simulator::restore_state`] on a freshly constructed simulator of
     /// the same configuration reproduces the uninterrupted run
     /// byte-for-byte (the RNG is owned by the driver and snapshotted
-    /// separately via `SimRng::state`). All seven backends override this;
+    /// separately via `SimRng::state`). All eight backends override this;
     /// the default keeps external `Simulator` implementations compiling
     /// and reports [`CheckpointError::Unsupported`].
     fn snapshot_state(&self, _w: &mut SnapshotWriter) -> Result<(), CheckpointError> {

@@ -19,7 +19,6 @@
 
 use crate::graph::{size_violation, Graph};
 use sim_stats::rng::SimRng;
-use std::collections::HashSet;
 use std::str::FromStr;
 
 /// Default degree for the degree-parameterized families (`regular`, `er`).
@@ -287,6 +286,73 @@ fn edge_key(a: u32, b: u32) -> u64 {
     ((a.min(b) as u64) << 32) | a.max(b) as u64
 }
 
+/// Per-vertex adjacency rows of the simple edges `random_regular` has
+/// accepted so far — its dedup structure, and at the end its CSR. Vertex
+/// `v` owns the `d` slots `slots[v·d..(v+1)·d]`, of which the first
+/// `len[v]` hold `(neighbor, edge id)`. A vertex has `d` stubs, so its row
+/// never overflows; once every edge is simple, every row is full.
+struct Rows {
+    d: usize,
+    slots: Vec<(u32, u32)>,
+    /// Filled slots per row; `u32`, since `d` can exceed any narrower type.
+    len: Vec<u32>,
+}
+
+impl Rows {
+    fn new(n: usize, d: usize) -> Self {
+        Rows {
+            d,
+            slots: vec![(0, 0); n * d],
+            len: vec![0; n],
+        }
+    }
+
+    fn row(&self, v: u32) -> &[(u32, u32)] {
+        let start = v as usize * self.d;
+        &self.slots[start..start + self.len[v as usize] as usize]
+    }
+
+    /// Whether the edge `{a, b}` is present: scans `a`'s ≤ d entries.
+    fn contains(&self, a: u32, b: u32) -> bool {
+        self.row(a).iter().any(|&(x, _)| x == b)
+    }
+
+    /// Add edge `e = {a, b}` to both endpoint rows.
+    fn link(&mut self, a: u32, b: u32, e: u32) {
+        for (u, w) in [(a, b), (b, a)] {
+            let len = &mut self.len[u as usize];
+            self.slots[u as usize * self.d + *len as usize] = (w, e);
+            *len += 1;
+        }
+    }
+
+    /// Remove edge `e = {a, b}` from both endpoint rows (the row order is
+    /// restored by [`Rows::into_csr`]).
+    fn unlink(&mut self, a: u32, b: u32, e: u32) {
+        for u in [a, b] {
+            let start = u as usize * self.d;
+            let len = &mut self.len[u as usize];
+            let row = &mut self.slots[start..start + *len as usize];
+            let at = row
+                .iter()
+                .position(|&(_, id)| id == e)
+                .expect("edge in row");
+            row.swap(at, *len as usize - 1);
+            *len -= 1;
+        }
+    }
+
+    /// The CSR entries of [`Graph::csr_adjacency`]: each full row sorted by
+    /// edge id (the scatter pass visits edges in id order).
+    fn into_csr(mut self) -> Vec<(u32, u32)> {
+        debug_assert!(self.len.iter().all(|&l| l as usize == self.d));
+        for row in self.slots.chunks_exact_mut(self.d) {
+            row.sort_unstable_by_key(|&(_, e)| e);
+        }
+        self.slots
+    }
+}
+
 /// Random simple d-regular graph via the configuration model: d stubs per
 /// vertex, a uniform random perfect matching of the stubs, and rejection of
 /// conflicting pairs — repaired locally by double-edge swaps against
@@ -295,6 +361,15 @@ fn edge_key(a: u32, b: u32) -> u64 {
 /// e^−Ω(d²) per attempt). The result is exactly d-regular and simple; the
 /// distribution is the standard asymptotically-uniform repaired
 /// configuration model.
+///
+/// The simplicity checks run against per-vertex adjacency rows of the good
+/// edges ([`Rows`]: `n·d` slots of `(neighbor, edge id)` and a fill count
+/// per vertex; a lookup scans ≤ d entries). After the repair every row is
+/// full, and sorted by edge id the rows are exactly the graph's CSR, which
+/// the returned [`Graph`] carries to the engines — the adjacency is built
+/// once. Generation holds the stubs (4·n·d bytes, dropped before the
+/// repair), the edge list (4·n·d) and the rows (8·n·d + 4·n): about 132 MB
+/// for n = 10⁶, d = 8, of which the rows stay on as the CSR.
 fn random_regular(n: usize, d: usize, rng: &mut SimRng) -> Graph {
     assert!(d >= 1 && d < n, "regular graph needs 1 <= d < n");
     assert!((n * d).is_multiple_of(2), "regular graph needs n*d even");
@@ -309,15 +384,18 @@ fn random_regular(n: usize, d: usize, rng: &mut SimRng) -> Graph {
         }
         rng.shuffle(&mut stubs);
         let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
-        let mut seen: HashSet<u64> = HashSet::with_capacity(m * 2);
+        let mut rows = Rows::new(n, d);
         let mut bad: Vec<usize> = Vec::new();
-        for i in 0..m {
-            let (a, b) = (stubs[2 * i], stubs[2 * i + 1]);
-            if a == b || !seen.insert(edge_key(a, b)) {
+        for (i, pair) in stubs.chunks_exact(2).enumerate() {
+            let (a, b) = (pair[0], pair[1]);
+            if a == b || rows.contains(a, b) {
                 bad.push(i);
+            } else {
+                rows.link(a, b, i as u32);
             }
             edges.push((a, b));
         }
+        drop(stubs);
         // Repair: swap each bad pair against a random good edge.
         let mut is_bad = vec![false; m];
         for &i in &bad {
@@ -340,20 +418,19 @@ fn random_regular(n: usize, d: usize, rng: &mut SimRng) -> Graph {
             if a == c || b == d2 {
                 continue;
             }
-            let (k1, k2) = (edge_key(a, c), edge_key(b, d2));
-            if k1 == k2 || seen.contains(&k1) || seen.contains(&k2) {
+            if edge_key(a, c) == edge_key(b, d2) || rows.contains(a, c) || rows.contains(b, d2) {
                 continue;
             }
-            seen.remove(&edge_key(c, d2));
-            seen.insert(k1);
-            seen.insert(k2);
+            rows.unlink(c, d2, ej as u32);
+            rows.link(a, c, ei as u32);
+            rows.link(b, d2, ej as u32);
             edges[ei] = (a, c);
             edges[ej] = (b, d2);
             is_bad[ei] = false;
             bad.pop();
         }
         debug_assert!(attempt < 63);
-        return Graph::from_edges(n, edges);
+        return Graph::regular_with_csr(n, d, edges, rows.into_csr());
     }
     unreachable!("configuration-model repair failed 64 times (n={n}, d={d})");
 }
@@ -403,10 +480,61 @@ mod tests {
     use super::*;
 
     fn assert_simple(g: &Graph) {
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         for &(a, b) in g.edges() {
             assert_ne!(a, b, "self-loop ({a},{b})");
             assert!(seen.insert(edge_key(a, b)), "duplicate edge ({a},{b})");
+        }
+    }
+
+    /// FNV-1a (64-bit) over the edge list, each endpoint as 4 little-endian
+    /// bytes.
+    fn fnv1a(edges: &[(u32, u32)]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &(a, b) in edges {
+            for byte in a.to_le_bytes().into_iter().chain(b.to_le_bytes()) {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// `(n, d, seed, FNV-1a of the edge list)`, recorded from the
+    /// hash-set dedup generator that the per-vertex rows replaced: the
+    /// rows must make the same accept/reject decisions with the same RNG
+    /// draws. `d = 257` overflows an 8-bit row count; `d = n − 1` is the
+    /// complete-graph shortcut.
+    const GOLDEN_REGULAR: [(usize, usize, u64, u64); 8] = [
+        (100, 3, 1, 0x30a0_4e39_d0c9_e865),
+        (1000, 8, 2, 0x17c3_92bb_3920_c505),
+        (64, 7, 3, 0xaf1d_328b_8df5_75b5),
+        (50, 49, 4, 0x310a_9950_4555_c094),
+        (4096, 8, 7, 0xedc5_08f3_ac01_6b6d),
+        (1024, 257, 5, 0x3079_5d83_dd2b_fd21),
+        (2000, 5, 9, 0x387f_a78d_e7f9_acf1),
+        (300, 6, 42, 0xfbc5_0c04_f5e0_f699),
+    ];
+
+    #[test]
+    fn random_regular_edge_lists_match_golden_hashes() {
+        for (n, d, seed, hash) in GOLDEN_REGULAR {
+            let g = TopologyFamily::Regular { d }.build(n, seed);
+            assert_eq!(fnv1a(g.edges()), hash, "n={n} d={d} seed={seed}");
+        }
+    }
+
+    #[test]
+    fn random_regular_csr_equals_the_scatter_pass() {
+        for (n, d, seed, _) in GOLDEN_REGULAR {
+            let g = TopologyFamily::Regular { d }.build(n, seed);
+            let copy = Graph::from_edges(n, g.edges().to_vec());
+            let csr = g.csr_adjacency();
+            assert_eq!(csr, copy.csr_adjacency(), "n={n} d={d} seed={seed}");
+            let offsets: Vec<u32> = (0..=n).map(|v| (v * d) as u32).collect();
+            assert_eq!(csr.0, offsets);
+            // Equality ignores the carried CSR.
+            assert_eq!(copy, g, "n={n} d={d} seed={seed}");
         }
     }
 
@@ -486,8 +614,10 @@ mod tests {
     fn er_extreme_probabilities() {
         let empty = erdos_renyi_sparse(30, 0.0, &mut SimRng::new(1));
         assert_eq!(empty.num_edges(), 0);
+        assert!(!empty.is_connected());
         let full = erdos_renyi_sparse(30, 1.0, &mut SimRng::new(1));
         assert_eq!(full.num_edges(), 435);
+        assert!(full.is_connected());
     }
 
     #[test]

@@ -317,16 +317,16 @@ impl<'a> RunSpec<'a> {
                 );
                 let graph = TopologyFamily::Complete.build(self.config.n() as usize, 0);
                 if self.backend == Backend::Graph {
-                    Box::new(GraphSimulator::from_config(proto, &graph, &counts))
+                    Box::new(GraphSimulator::from_config(proto, graph, &counts))
                 } else if proto.num_states() <= <u8 as StateWord>::LIMIT {
-                    Box::new(BatchGraphSimulator::from_config(proto, &graph, &counts))
+                    Box::new(BatchGraphSimulator::from_config(proto, graph, &counts))
                 } else {
                     // u16 state-packing fallback for k > 256.
                     let mut states = Vec::with_capacity(counts.n() as usize);
                     for (idx, &c) in counts.counts().iter().enumerate() {
                         states.extend(std::iter::repeat_n(idx, c as usize));
                     }
-                    Box::new(WideBatchGraphSimulator::with_states(proto, &graph, states))
+                    Box::new(WideBatchGraphSimulator::with_states(proto, graph, states))
                 }
             }
             Backend::Sequential => Box::new(SequentialGeneric::new(self.config)),
@@ -357,7 +357,7 @@ impl<'a> RunSpec<'a> {
             )),
             Backend::Graph => {
                 let states = shuffled_layout(&counts, rng);
-                Box::new(GraphSimulator::new(proto, &graph, states))
+                Box::new(GraphSimulator::new(proto, graph, states))
             }
             // USD with k opinions has k + 1 states; alphabets past one
             // byte route to the u16 state-packing fallback instead of
@@ -365,11 +365,11 @@ impl<'a> RunSpec<'a> {
             // engine).
             Backend::BatchGraph if proto.num_states() <= <u8 as StateWord>::LIMIT => {
                 let states = shuffled_layout(&counts, rng);
-                Box::new(BatchGraphSimulator::new(proto, &graph, states))
+                Box::new(BatchGraphSimulator::new(proto, graph, states))
             }
             Backend::BatchGraph => {
                 let states = shuffled_layout(&counts, rng);
-                Box::new(WideBatchGraphSimulator::with_states(proto, &graph, states))
+                Box::new(WideBatchGraphSimulator::with_states(proto, graph, states))
             }
             Backend::Replica => {
                 let layouts: Vec<Vec<usize>> =

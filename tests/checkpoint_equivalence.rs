@@ -158,7 +158,7 @@ fn assert_equivalent(backend: Backend, family: Option<TopologyFamily>, seed: u64
 }
 
 #[test]
-fn clique_resume_is_bit_identical_on_all_seven_backends() {
+fn clique_resume_is_bit_identical_on_every_backend() {
     for backend in Backend::ALL {
         assert_equivalent(backend, None, 0xC0FFEE ^ backend as u64);
     }

@@ -40,7 +40,7 @@ fn checkpoint_for(backend: Backend) -> RunCheckpoint {
 /// never a panic. Positions are drawn from the deterministic [`SimRng`]
 /// so the property sweep is reproducible.
 #[test]
-fn sealed_corruption_is_rejected_on_all_seven_backends() {
+fn sealed_corruption_is_rejected_on_every_backend() {
     let mut rng = SimRng::new(2024);
     for backend in Backend::ALL {
         let bytes = checkpoint_for(backend).to_bytes();

@@ -8,7 +8,9 @@
 //! thresholds are distribution-level with 150+ samples per engine.
 
 use plurality_consensus::prelude::*;
-use pop_proto::TopologyFamily;
+use pop_proto::checkpoint::SnapshotWriter;
+use pop_proto::simulator::shuffled_layout;
+use pop_proto::{BatchGraphSimulator, Graph, GraphSimulator, Simulator, TopologyFamily};
 use sim_stats::ks::{ks_critical_value, ks_statistic};
 use usd_core::backend::Backend;
 use usd_core::RunSpec;
@@ -289,4 +291,67 @@ fn graphwise_skip_clock_matches_agentwise_on_cycle() {
         means[0],
         means[1]
     );
+}
+
+/// Drive `sim` through a fixed sequence of `advance` horizons, then on to
+/// silence, and return its `snapshot_state` bytes (state, clocks, sparse
+/// sidecar, telemetry) after each fixed horizon and at silence.
+fn snapshot_after_advances(mut sim: Box<dyn Simulator>) -> Vec<u8> {
+    let mut rng = SimRng::new(0x5EED);
+    let mut w = SnapshotWriter::new();
+    for max in [1, 999, 20_000, 7, 50_000] {
+        sim.advance(&mut rng, max);
+        sim.snapshot_state(&mut w).expect("snapshot_state failed");
+    }
+    while !sim.is_silent() {
+        assert!(sim.advance(&mut rng, 100_000) > 0, "stalled before silence");
+    }
+    sim.snapshot_state(&mut w).expect("snapshot_state failed");
+    w.into_bytes()
+}
+
+/// The graph engines take the graph as `impl Into<CsrGraph>`: an owned
+/// random-regular graph moves its edge list and generator-built CSR in, a
+/// `&Graph` is copied, and an edge-list-only copy has its CSR scattered.
+/// All three must run the same trajectory, byte for byte.
+#[test]
+fn owned_and_borrowed_graphs_build_identical_engines() {
+    let n = 4096;
+    let graph = TopologyFamily::Regular { d: 8 }.build(n, 21);
+    let rebuilt = Graph::from_edges(n, graph.edges().to_vec());
+    let config = InitialConfigBuilder::new(n as u64, 2).figure1();
+    let states = shuffled_layout(&config.to_count_config(), &mut SimRng::new(3));
+    let proto = UndecidedStateDynamics::new(2);
+
+    let borrowed = snapshot_after_advances(Box::new(BatchGraphSimulator::new(
+        proto,
+        &graph,
+        states.clone(),
+    )));
+    let scattered = snapshot_after_advances(Box::new(BatchGraphSimulator::new(
+        proto,
+        rebuilt.clone(),
+        states.clone(),
+    )));
+    let owned = snapshot_after_advances(Box::new(BatchGraphSimulator::new(
+        proto,
+        graph.clone(),
+        states.clone(),
+    )));
+    assert_eq!(owned, borrowed, "batchgraph: owned vs borrowed graph");
+    assert_eq!(
+        owned, scattered,
+        "batchgraph: generator CSR vs scatter pass"
+    );
+
+    let borrowed =
+        snapshot_after_advances(Box::new(GraphSimulator::new(proto, &graph, states.clone())));
+    let scattered = snapshot_after_advances(Box::new(GraphSimulator::new(
+        proto,
+        rebuilt,
+        states.clone(),
+    )));
+    let owned = snapshot_after_advances(Box::new(GraphSimulator::new(proto, graph, states)));
+    assert_eq!(owned, borrowed, "graph: owned vs borrowed graph");
+    assert_eq!(owned, scattered, "graph: generator CSR vs scatter pass");
 }
