@@ -4,7 +4,7 @@ use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::config::CountConfig;
 use crate::protocol::Protocol;
 use crate::scheduler::Scheduler;
-use crate::simulator::snapshot_tags;
+use crate::simulator::{block_layout, snapshot_tags};
 use crate::telemetry::timeline::EventHistograms;
 use crate::telemetry::EngineTelemetry;
 use sim_stats::rng::SimRng;
@@ -106,11 +106,7 @@ impl<P: Protocol, S: Scheduler> AgentSimulator<P, S> {
     /// shuffled layout).
     pub fn from_config(protocol: P, scheduler: S, config: &CountConfig) -> Self {
         assert_eq!(config.num_states(), protocol.num_states());
-        let mut states = Vec::with_capacity(config.n() as usize);
-        for (idx, &c) in config.counts().iter().enumerate() {
-            states.extend(std::iter::repeat_n(idx, c as usize));
-        }
-        Self::new(protocol, scheduler, states)
+        Self::new(protocol, scheduler, block_layout(config))
     }
 
     /// The protocol.

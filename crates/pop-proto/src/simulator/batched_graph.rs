@@ -1,4 +1,5 @@
-//! Batch-leaping exact simulator for graph-restricted schedulers.
+//! Batch-leaping exact simulator for graph-restricted schedulers: the
+//! matching-block dense strategy on the shared graph core.
 //!
 //! # The matching-based multi-event idea
 //!
@@ -48,16 +49,17 @@
 //! endgames, low-conductance frontiers — almost every scanned draw is a
 //! no-op and scanning stops paying; a run of
 //! [`SPARSE_TRIGGER_NOOPS`](super::sparse) consecutive no-op draws
-//! escalates to the shared block-leaping sparse engine
-//! ([`SparseSkipper`](super::sparse)) that [`GraphSimulator`] uses too:
-//! exact geometric skips over no-op runs, effective events drawn from the
-//! exact weighted law, and Fenwick updates deferred into per-block batched
-//! passes. This engine drives the skipper a **block of effective events at
-//! a time** (up to [`SPARSE_BLOCK_EVENTS`](super::sparse) per advancement,
-//! the sparse twin of its dense block leaping), and the same hysteresis
-//! band hands control back to the dense block engine when the activity
-//! fraction recovers. Both phases simulate the same chain; the switch is
-//! purely a cost-model decision.
+//! escalates to the sparse phase of the shared graph core (the private
+//! `graph_core` module, which also holds this engine's states, graph,
+//! clocks and snapshot body, and which [`GraphSimulator`] shares): exact
+//! geometric skips over no-op runs, effective events drawn from the exact
+//! weighted law, and Fenwick updates deferred into per-block batched
+//! passes. This engine steps the sparse phase a **block of effective
+//! events at a time** (up to [`SPARSE_BLOCK_EVENTS`](super::sparse) per
+//! advancement, the sparse twin of its dense block leaping), and the
+//! hysteresis band hands control back to the dense block engine when the
+//! activity fraction recovers. Both phases simulate the same chain; the
+//! switch is purely a cost-model decision.
 //!
 //! # Exactness
 //!
@@ -72,11 +74,11 @@
 //! `tests/topology_equivalence.rs`, and by the matching property tests
 //! below.
 //!
-//! One clock convention is inherited from the graphwise engine: silence
-//! stops the clock. A chunk whose last effective interaction silences the
-//! configuration discards its trailing (provably no-op) draws from the
-//! clock, so stabilization times report the interaction *at which silence
-//! was reached*, exactly as the per-event engines do.
+//! Silence stops the clock, as in the core's sparse phase: a chunk whose
+//! last effective interaction silences the configuration discards its
+//! trailing (provably no-op) draws from the clock, so stabilization times
+//! report the interaction *at which silence was reached*, exactly as the
+//! per-event engines do.
 //!
 //! # State packing
 //!
@@ -95,59 +97,12 @@ use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::config::CountConfig;
 use crate::graph::CsrGraph;
 use crate::protocol::Protocol;
-use crate::simulator::sparse::{
-    orient_event, SparseSkipper, SparseStep, SPARSE_BLOCK_EVENTS, SPARSE_TRIGGER_NOOPS,
-};
-use crate::simulator::{shuffled_layout, snapshot_tags, Simulator};
+use crate::simulator::graph_core::{block_layout, shuffled_layout, GraphCore, StateWord};
+use crate::simulator::sparse::{SPARSE_BLOCK_EVENTS, SPARSE_TRIGGER_NOOPS};
+use crate::simulator::{snapshot_tags, Simulator};
 use crate::telemetry::timeline::EventHistograms;
 use crate::telemetry::EngineTelemetry;
 use sim_stats::rng::SimRng;
-
-/// Packed storage width for the batch-graph engine's per-agent state array.
-///
-/// The scan gathers endpoint states by random access, so the array's cache
-/// footprint is the engine's hottest constant: `u8` (the default) keeps it
-/// to one byte per agent for protocols with at most 256 states, and `u16`
-/// (see [`WideBatchGraphSimulator`]) lifts the alphabet cap to 65 536
-/// states at twice the footprint.
-pub trait StateWord: Copy + Eq + std::fmt::Debug + Send + Sync + 'static {
-    /// Largest protocol alphabet this width can index.
-    const LIMIT: usize;
-
-    /// Pack a dense state index (caller guarantees `s < Self::LIMIT`).
-    fn pack(s: usize) -> Self;
-
-    /// Unpack back to the dense state index.
-    fn unpack(self) -> usize;
-}
-
-impl StateWord for u8 {
-    const LIMIT: usize = 256;
-
-    #[inline(always)]
-    fn pack(s: usize) -> Self {
-        s as u8
-    }
-
-    #[inline(always)]
-    fn unpack(self) -> usize {
-        self as usize
-    }
-}
-
-impl StateWord for u16 {
-    const LIMIT: usize = 65_536;
-
-    #[inline(always)]
-    fn pack(s: usize) -> Self {
-        s as u16
-    }
-
-    #[inline(always)]
-    fn unpack(self) -> usize {
-        self as usize
-    }
-}
 
 /// Bounds on the pre-generated chunk length. The target is the birthday
 /// scale √n (blocks rarely survive much longer), clamped so tiny graphs
@@ -159,8 +114,7 @@ const CHUNK_MAX: usize = 4096;
 /// The u16 state-packing fallback of [`BatchGraphSimulator`] for protocols
 /// with more than 256 (and up to 65 536) states — same engine, twice the
 /// state-array footprint. Construct via
-/// [`BatchGraphSimulator::with_states`] /
-/// [`BatchGraphSimulator::with_config_shuffled`] through this alias.
+/// [`BatchGraphSimulator::with_states`] through this alias.
 pub type WideBatchGraphSimulator<P> = BatchGraphSimulator<P, u16>;
 
 /// Batch-leaping simulator for graph-restricted schedulers.
@@ -180,30 +134,13 @@ pub type WideBatchGraphSimulator<P> = BatchGraphSimulator<P, u16>;
 /// matters.
 #[derive(Debug, Clone)]
 pub struct BatchGraphSimulator<P: Protocol, S: StateWord = u8> {
-    protocol: P,
-    /// The graph's edge list (unordered endpoint pairs).
-    edges: Vec<(u32, u32)>,
-    /// CSR adjacency offsets: vertex `v` owns `adj[offsets[v]..offsets[v+1]]`.
-    offsets: Vec<u32>,
-    /// CSR adjacency entries: `(neighbor, edge index)`.
-    adj: Vec<(u32, u32)>,
-    /// Packed dense state index per agent (see [`StateWord`]).
-    states: Vec<S>,
-    /// Per-state counts, kept in sync with `states`.
-    counts: Vec<u64>,
-    /// Shared sparse-phase engine (`SparseSkipper`); live only in the
-    /// sparse phase.
-    sparse: Option<SparseSkipper>,
-    /// Consecutive no-op draws (sparse trigger, shared with graphwise).
-    noop_run: u32,
-    k: usize,
-    interactions: u64,
-    effective_interactions: u64,
-    /// Cached `transition_indices` for all ordered state pairs
-    /// (`table[i * k + j]`).
-    table: Vec<(S, S)>,
-    /// Whether `(i, j)` is a no-op (`noop[i * k + j]`).
-    noop: Vec<bool>,
+    /// Packed states (see [`StateWord`]), graph, clocks and sparse phase.
+    /// Its telemetry adds the block counters and the batch-specific span
+    /// convention `dense ⊇ gather + apply` (gather = passes 1–3, apply =
+    /// the matching scan, dense = the whole chunk, so
+    /// `dense − gather − apply` is the scan's bookkeeping overhead); its
+    /// histograms add matching block sizes and per-chunk fallback runs.
+    core: GraphCore<P, S>,
     /// Chunk length for this population (≈ √n, clamped).
     chunk: usize,
     /// Reusable buffer: raw oriented draws of the current chunk.
@@ -225,22 +162,16 @@ pub struct BatchGraphSimulator<P: Protocol, S: StateWord = u8> {
     /// diagnostics, and property tests; see
     /// [`BatchGraphSimulator::last_block_matching`]).
     block_events: Vec<(u32, u32)>,
-    /// Engine telemetry: live counters here are `scheduled`/`effective`
-    /// (mirroring the interaction clocks, *including* the silence rewind),
-    /// `blocks`/`block_draws`/`block_applied`, `fallback_literal` (dirty
-    /// draws applied literally), `pair_draws`, `sparse_enters`/
-    /// `sparse_exits`, the harvested skipper stats, and the spans — with
-    /// the batch-specific convention `dense ⊇ gather + apply` (gather =
-    /// passes 1–3, apply = the matching scan, dense = the whole chunk, so
-    /// `dense − gather − apply` is the scan's bookkeeping overhead).
-    telemetry: EngineTelemetry,
-    /// Per-event histograms (opt-in): dense no-op runs, matching block
-    /// sizes, and per-chunk fallback runs recorded here; sparse fields
-    /// merged in from each skipper at phase exits and boundary reads.
-    hist: Option<Box<EventHistograms>>,
 }
 
 impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
+    /// The snapshot tag of this packing width.
+    const TAG: u8 = if S::LIMIT <= 256 {
+        snapshot_tags::BATCH_GRAPH
+    } else {
+        snapshot_tags::WIDE_BATCH_GRAPH
+    };
+
     /// Create from explicit per-agent states (dense indices) with this
     /// packing width. The graph must have at least one edge and as many
     /// vertices as there are states, and the protocol's alphabet must fit
@@ -248,63 +179,14 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     /// 256 states). An owned [`Graph`](crate::Graph) moves its edge list
     /// and CSR into the engine; a `&Graph` is copied (see [`CsrGraph`]).
     pub fn with_states(protocol: P, graph: impl Into<CsrGraph>, states: Vec<usize>) -> Self {
-        let k = protocol.num_states();
-        assert!(
-            k <= S::LIMIT,
-            "protocol alphabet k = {k} exceeds this packing width's limit {}",
-            S::LIMIT
-        );
-        let mut table = Vec::with_capacity(k * k);
-        let mut noop = Vec::with_capacity(k * k);
-        for i in 0..k {
-            for j in 0..k {
-                let (a, b) = protocol.transition_indices(i, j);
-                table.push((S::pack(a), S::pack(b)));
-                noop.push((a, b) == (i, j));
-            }
-        }
-        let mut counts = vec![0u64; k];
-        let states: Vec<S> = states
-            .into_iter()
-            .map(|s| {
-                assert!(s < k, "state index {s} out of range");
-                counts[s] += 1;
-                S::pack(s)
-            })
-            .collect();
-        // The graph converts after the layout has narrowed, so a copied
-        // CSR never coexists with the `usize` states (peak memory).
-        let CsrGraph {
-            n,
-            edges,
-            offsets,
-            adj,
-        } = graph.into();
-        assert_eq!(
-            states.len(),
-            n,
-            "agent count does not match graph vertex count"
-        );
-        assert!(!edges.is_empty(), "batch-graph engine needs edges");
-        let chunk = ((n as f64).sqrt() as usize).clamp(CHUNK_MIN, CHUNK_MAX);
+        let core = GraphCore::new(protocol, graph, states);
+        let chunk = ((core.states.len() as f64).sqrt() as usize).clamp(CHUNK_MIN, CHUNK_MAX);
         // ~64 bitmap bits per possible dirty vertex of a chunk keeps the
         // hash false-positive rate (which only shortens blocks) below ~3%
         // even for a fully effective chunk, at ≤ 32 KiB of cache footprint.
         let bits = (chunk * 64).next_power_of_two();
         BatchGraphSimulator {
-            protocol,
-            edges,
-            offsets,
-            adj,
-            states,
-            counts,
-            sparse: None,
-            noop_run: 0,
-            k,
-            interactions: 0,
-            effective_interactions: 0,
-            table,
-            noop,
+            core,
             chunk,
             bitmap: vec![0u64; bits / 64],
             bit_mask: bits - 1,
@@ -313,67 +195,52 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
             ends: Vec::with_capacity(chunk),
             pair_states: Vec::with_capacity(chunk),
             block_events: Vec::new(),
-            telemetry: EngineTelemetry::new(),
-            hist: None,
         }
-    }
-
-    /// Create from a count configuration with a uniformly shuffled agent
-    /// layout — the canonical initial law on non-clique topologies (see
-    /// [`GraphSimulator::from_config_shuffled`](super::GraphSimulator::from_config_shuffled)).
-    pub fn with_config_shuffled(
-        protocol: P,
-        graph: impl Into<CsrGraph>,
-        config: &CountConfig,
-        rng: &mut SimRng,
-    ) -> Self {
-        let states = shuffled_layout(config, rng);
-        Self::with_states(protocol, graph, states)
     }
 
     /// The protocol.
     pub fn protocol(&self) -> &P {
-        &self.protocol
+        &self.core.protocol
     }
 
     /// Number of agents.
     pub fn population(&self) -> usize {
-        self.states.len()
+        self.core.states.len()
     }
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.core.edges.len()
     }
 
     /// The state index of one agent.
     pub fn state_of_agent(&self, v: usize) -> usize {
-        self.states[v].unpack()
+        self.core.states[v].unpack()
     }
 
     /// Per-state counts.
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        &self.core.counts
     }
 
     /// Current count configuration (copies counts).
     pub fn config(&self) -> CountConfig {
-        CountConfig::from_counts(self.counts.clone())
+        CountConfig::from_counts(self.core.counts.clone())
     }
 
     /// Total interactions simulated (including no-ops).
     pub fn interactions(&self) -> u64 {
-        self.interactions
+        self.core.interactions
     }
 
     /// Interactions that changed the configuration.
     pub fn effective_interactions(&self) -> u64 {
-        self.effective_interactions
+        self.core.effective_interactions
     }
 
     /// Parallel time elapsed (= interactions / n).
     pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.states.len() as f64
+        self.core.interactions as f64 / self.core.states.len() as f64
     }
 
     /// Oriented `(initiator, responder)` endpoint pairs of the most recent
@@ -388,32 +255,15 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     /// sparse phase; scans the edges in the block phase, where `W` is not
     /// maintained.
     pub fn active_weight(&self) -> u64 {
-        match &self.sparse {
-            Some(s) => s.total(),
-            None => (0..self.edges.len()).map(|e| self.edge_weight(e)).sum(),
-        }
+        self.core.active_weight()
     }
 
     /// Whether the configuration is silent *for this graph* (`W = 0`).
     /// Sparse phase: exact. Block phase: the sufficient count-level
     /// criterion, with frozen disconnected configurations caught by the
-    /// no-op-run escalation exactly as in
-    /// [`GraphSimulator::is_silent`](super::GraphSimulator::is_silent).
+    /// no-op-run escalation.
     pub fn is_silent(&self) -> bool {
-        match &self.sparse {
-            Some(s) => s.total() == 0,
-            None => self.protocol.is_silent(&self.counts),
-        }
-    }
-
-    /// Current weight (active orientations) of edge `e` from its endpoint
-    /// states.
-    #[inline]
-    fn edge_weight(&self, e: usize) -> u64 {
-        let (a, b) = self.edges[e];
-        let sa = self.states[a as usize].unpack();
-        let sb = self.states[b as usize].unpack();
-        (!self.noop[sa * self.k + sb]) as u64 + (!self.noop[sb * self.k + sa]) as u64
+        self.core.is_silent()
     }
 
     /// Verify the sparse skipper (if live) against per-edge weights
@@ -421,13 +271,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     /// property tests pin. O(m); `Ok` when the block phase is active.
     #[doc(hidden)]
     pub fn validate_sparse_invariants(&self) -> Result<(), String> {
-        match &self.sparse {
-            None => Ok(()),
-            Some(s) => {
-                let truth: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
-                s.check_consistent(&truth)
-            }
-        }
+        self.core.validate_sparse_invariants()
     }
 
     /// End the current chunk: clear its dirty bits (O(changed vertices),
@@ -440,156 +284,23 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         self.dirty_list.clear();
     }
 
-    /// Re-weight the incident edges of vertex `v` in the sparse skipper
-    /// after its state changed from `old` (the state array already holds
-    /// the new value). Unchanged edges are filtered with pure
-    /// transition-table math before the skipper is touched; the tree
-    /// update for changed ones is deferred and coalesced. Sparse phase
-    /// only.
-    fn refresh_incident(&mut self, v: usize, old: usize) {
-        let t = self.states[v].unpack();
-        let (lo, hi) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
-        let sparse = self
-            .sparse
-            .as_mut()
-            .expect("sparse-phase refresh without a skipper");
-        for idx in lo..hi {
-            let (nb, e) = self.adj[idx];
-            debug_assert_ne!(nb as usize, v, "self-loop");
-            let y = self.states[nb as usize].unpack();
-            let was = (!self.noop[old * self.k + y]) as u64 + (!self.noop[y * self.k + old]) as u64;
-            let now = (!self.noop[t * self.k + y]) as u64 + (!self.noop[y * self.k + t]) as u64;
-            if was != now {
-                sparse.set_weight(e as usize, now);
-            }
-        }
-    }
-
-    /// Apply `f` to the oriented pair `(i → j)` from **current** states;
-    /// returns whether any state changed (reporting new incident weights
-    /// to the skipper when it is live). Used by the literal single step,
-    /// the dirty-endpoint fallback, and the sparse phase — not by the
-    /// block scan, which inlines the clean-draw fast path.
-    fn apply_oriented(&mut self, i: usize, j: usize) -> bool {
-        let (si, sj) = (self.states[i].unpack(), self.states[j].unpack());
-        if self.noop[si * self.k + sj] {
-            return false;
-        }
-        let (ti, tj) = self.table[si * self.k + sj];
-        self.counts[si] -= 1;
-        self.counts[sj] -= 1;
-        self.counts[ti.unpack()] += 1;
-        self.counts[tj.unpack()] += 1;
-        self.effective_interactions += 1;
-        self.telemetry.effective += 1;
-        if self.sparse.is_none() {
-            self.states[i] = ti;
-            self.states[j] = tj;
-            return true;
-        }
-        // One endpoint at a time so each new weight is computed against a
-        // consistent snapshot (same argument as the graphwise engine).
-        if ti.unpack() != si {
-            self.states[i] = ti;
-            self.refresh_incident(i, si);
-        }
-        if tj.unpack() != sj {
-            self.states[j] = tj;
-            self.refresh_incident(j, sj);
-        }
-        true
-    }
-
-    /// Enter the sparse phase: scan the graph once and hand the per-edge
-    /// active-orientation weights to a fresh [`SparseSkipper`].
-    fn enter_sparse(&mut self) {
-        let weights: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
-        let mut skipper = SparseSkipper::new(&weights);
-        skipper.set_histograms(self.hist.is_some());
-        self.sparse = Some(skipper);
-        self.noop_run = 0;
-        self.telemetry.sparse_enters += 1;
-    }
-
-    /// Drop the sparse skipper (activity recovered), harvesting its
-    /// telemetry first so no counters are lost with the phase.
-    fn exit_sparse(&mut self) {
-        if let Some(mut s) = self.sparse.take() {
-            self.telemetry.sparse.absorb(s.take_stats());
-            if let (Some(h), Some(sh)) = (&mut self.hist, s.histograms()) {
-                h.merge(sh);
-            }
-            self.telemetry.sparse_exits += 1;
-        }
-        self.noop_run = 0;
-    }
-
     /// Simulate exactly one scheduled interaction (uniform edge, uniform
     /// orientation — the literal scheduler law); returns whether it changed
     /// the configuration.
     pub fn step(&mut self, rng: &mut SimRng) -> bool {
-        self.interactions += 1;
-        self.telemetry.scheduled += 1;
-        self.telemetry.dense_steps += 1;
-        self.telemetry.pair_draws += 1;
-        let v = rng.below(2 * self.edges.len() as u64);
-        let (a, b) = self.edges[(v >> 1) as usize];
+        let core = &mut self.core;
+        core.interactions += 1;
+        core.telemetry.scheduled += 1;
+        core.telemetry.dense_steps += 1;
+        core.telemetry.pair_draws += 1;
+        let v = rng.below(2 * core.edges.len() as u64);
+        let (a, b) = core.edges[(v >> 1) as usize];
         let (i, j) = if v & 1 == 0 {
             (a as usize, b as usize)
         } else {
             (b as usize, a as usize)
         };
-        self.apply_oriented(i, j)
-    }
-
-    /// Sparse-phase advancement, block-leaping: apply up to
-    /// [`SPARSE_BLOCK_EVENTS`] effective events (each preceded by its
-    /// exact geometric no-op skip) before returning, charging the
-    /// interaction clock once for the whole block. Stops early at the
-    /// horizon, at silence (the clock stops *at* the silencing event — the
-    /// per-event engines' convention, with no trailing skips drawn), or
-    /// when activity recovers past the hysteresis threshold. Returns
-    /// (interactions advanced, whether the counts changed). Precondition:
-    /// skipper live, `W > 0`, `max > 0`.
-    fn sparse_block(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
-        let mut advanced = 0u64;
-        let mut events = 0u64;
-        while events < SPARSE_BLOCK_EVENTS && advanced < max {
-            let sparse = self.sparse.as_mut().expect("sparse block without skipper");
-            if sparse.total() == 0 || sparse.should_exit_to_dense() {
-                break;
-            }
-            let e = match sparse.next_event(rng, max - advanced) {
-                SparseStep::Horizon => {
-                    advanced = max;
-                    break;
-                }
-                SparseStep::Event { consumed, edge } => {
-                    advanced += consumed;
-                    edge
-                }
-            };
-            let (a, b) = self.edges[e];
-            let sa = self.states[a as usize].unpack();
-            let sb = self.states[b as usize].unpack();
-            let (i, j) = orient_event(
-                rng,
-                a as usize,
-                b as usize,
-                !self.noop[sa * self.k + sb],
-                !self.noop[sb * self.k + sa],
-            );
-            let changed = self.apply_oriented(i, j);
-            debug_assert!(changed, "sampled active orientation was a no-op");
-            events += 1;
-            self.sparse
-                .as_mut()
-                .expect("sparse block without skipper")
-                .end_event();
-        }
-        self.interactions += advanced;
-        self.telemetry.scheduled += advanced;
-        (advanced, events > 0)
+        core.apply_oriented(i, j)
     }
 
     /// Scan one pre-generated chunk of at most `max` scheduled draws.
@@ -598,15 +309,15 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
     /// sparse skipper).
     fn chunk_scan(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool, bool) {
         debug_assert!(max > 0);
-        debug_assert!(self.sparse.is_none(), "chunk scan with a live skipper");
-        let m2 = 2 * self.edges.len() as u64;
-        let k = self.k;
+        debug_assert!(self.core.sparse.is_none(), "chunk scan with a live skipper");
+        let m2 = 2 * self.core.edges.len() as u64;
+        let k = self.core.k;
         let want = (self.chunk as u64).min(max) as usize;
-        self.telemetry.blocks += 1;
-        self.telemetry.block_draws += want as u64;
-        self.telemetry.pair_draws += want as u64;
-        let t_chunk = self.telemetry.clock.start();
-        let t_gather = self.telemetry.clock.start();
+        self.core.telemetry.blocks += 1;
+        self.core.telemetry.block_draws += want as u64;
+        self.core.telemetry.pair_draws += want as u64;
+        let t_chunk = self.core.telemetry.clock.start();
+        let t_gather = self.core.telemetry.clock.start();
         // The buffers move out of `self` for the passes so the tight loops
         // borrow disjoint data (no `&mut self` aliasing, no re-loads).
         let mut draws = std::mem::take(&mut self.draws);
@@ -623,33 +334,33 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         // here would mispredict every other draw).
         ends.clear();
         for &v in &draws {
-            let (a, b) = self.edges[(v >> 1) as usize];
+            let (a, b) = self.core.edges[(v >> 1) as usize];
             let swap = 0u32.wrapping_sub((v & 1) as u32) & (a ^ b);
             ends.push((a ^ swap, b ^ swap));
         }
         // Pass 3: gather block-start endpoint states (independent loads).
         pair_states.clear();
         for &(a, b) in &ends {
-            pair_states.push((self.states[a as usize], self.states[b as usize]));
+            pair_states.push((self.core.states[a as usize], self.core.states[b as usize]));
         }
-        self.telemetry.spans.gather_ns += self.telemetry.clock.elapsed_ns(t_gather);
-        let t_apply = self.telemetry.clock.start();
+        self.core.telemetry.spans.gather_ns += self.core.telemetry.clock.elapsed_ns(t_gather);
+        let t_apply = self.core.telemetry.clock.start();
         // Pass 4: the matching scan, in schedule order. Everything the
         // loop touches is a local or a disjoint field borrow — per-draw
         // `&mut self` method calls would force the compiler to reload
         // fields on every iteration.
-        let mut states = std::mem::take(&mut self.states);
+        let mut states = std::mem::take(&mut self.core.states);
         let mut bitmap = std::mem::take(&mut self.bitmap);
         let mut dirty_list = std::mem::take(&mut self.dirty_list);
         let mut block_events = std::mem::take(&mut self.block_events);
-        let mut hist = std::mem::take(&mut self.hist);
+        let mut hist = std::mem::take(&mut self.core.hist);
         block_events.clear();
         let bit_mask = self.bit_mask;
-        let noop = &self.noop;
-        let table = &self.table;
-        let counts = &mut self.counts;
+        let noop = &self.core.noop;
+        let table = &self.core.table;
+        let counts = &mut self.core.counts;
         let mut effective = 0u64;
-        let mut noop_run = self.noop_run;
+        let mut noop_run = self.core.noop_run;
         let mut advanced = 0u64;
         let mut changed = false;
         // Clock value (within this scan) of the last effective interaction,
@@ -714,27 +425,27 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
                 fallback += 1;
             }
         }
-        self.telemetry.block_applied += block_events.len() as u64;
-        self.telemetry.fallback_literal += fallback;
+        self.core.telemetry.block_applied += block_events.len() as u64;
+        self.core.telemetry.fallback_literal += fallback;
         if let Some(h) = hist.as_deref_mut() {
             h.block_size.add_u64(block_events.len() as u64);
             h.fallback_run.add_u64(fallback);
         }
-        self.hist = hist;
-        self.telemetry.spans.apply_ns += self.telemetry.clock.elapsed_ns(t_apply);
-        self.states = states;
+        self.core.hist = hist;
+        self.core.telemetry.spans.apply_ns += self.core.telemetry.clock.elapsed_ns(t_apply);
+        self.core.states = states;
         self.bitmap = bitmap;
         self.dirty_list = dirty_list;
         self.block_events = block_events;
-        self.noop_run = noop_run;
-        self.effective_interactions += effective;
-        self.telemetry.effective += effective;
+        self.core.noop_run = noop_run;
+        self.core.effective_interactions += effective;
+        self.core.telemetry.effective += effective;
         self.draws = draws;
         self.ends = ends;
         self.pair_states = pair_states;
         self.clear_chunk();
-        self.interactions += advanced;
-        self.telemetry.scheduled += advanced;
+        self.core.interactions += advanced;
+        self.core.telemetry.scheduled += advanced;
         // Silence rewind: if the chunk's last effective interaction
         // silenced the configuration, its trailing draws are provably
         // no-ops that postdate silence; drop them from the clock so the
@@ -742,35 +453,29 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         // per-event engines exactly. The telemetry mirror follows the
         // rewind too — `scheduled` stays identical to `interactions()`.
         if changed && advanced > last_change && self.is_silent() {
-            self.interactions -= advanced - last_change;
-            self.telemetry.scheduled -= advanced - last_change;
+            self.core.interactions -= advanced - last_change;
+            self.core.telemetry.scheduled -= advanced - last_change;
             advanced = last_change;
         }
-        self.telemetry.spans.dense_ns += self.telemetry.clock.elapsed_ns(t_chunk);
+        self.core.telemetry.spans.dense_ns += self.core.telemetry.clock.elapsed_ns(t_chunk);
         (advanced, changed, trigger)
     }
 
     /// Advance by at most `max` interactions using the cheapest exact
     /// mechanism for the current activity level (block leaping or the
-    /// shared sparse skipper, itself block-leaping). Returns interactions
+    /// core's sparse phase, itself block-leaping). Returns interactions
     /// advanced and whether the counts changed. Once silence is
     /// *certified* (sparse phase, `W = 0`) the clock stops: further calls
     /// return `(0, false)`. In the block phase a silent-but-uncertified
     /// configuration still draws genuine scheduled no-ops until the
-    /// no-op-run trigger escalates and certifies it (the same behaviour as
-    /// the graphwise dense phase), so the first call on such a
-    /// configuration can advance the clock by up to
+    /// no-op-run trigger escalates and certifies it, so the first call on
+    /// such a configuration can advance the clock by up to
     /// ~`SPARSE_TRIGGER_NOOPS` interactions — drivers check `is_silent()`
     /// before advancing, which both `run_until` and the stabilization
     /// entry points do.
     pub fn advance_changed(&mut self, rng: &mut SimRng, max: u64) -> (u64, bool) {
         let out = self.advance_changed_impl(rng, max);
-        // Harvest the skipper's telemetry at every advancement boundary so
-        // the engine's totals are current even while the sparse phase is
-        // live (runs routinely *end* inside it).
-        if let Some(s) = &mut self.sparse {
-            self.telemetry.sparse.absorb(s.take_stats());
-        }
+        self.core.harvest_sparse_stats();
         out
     }
 
@@ -781,20 +486,11 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
         let mut advanced = 0u64;
         let mut changed = false;
         loop {
-            if let Some(s) = &self.sparse {
-                if s.total() == 0 {
-                    // Silent: stop the clock (see the graphwise engine).
-                    return (advanced, changed);
-                }
-                if s.should_exit_to_dense() {
-                    // Activity recovered: hand back to the block engine.
-                    self.exit_sparse();
-                } else {
-                    let t0 = self.telemetry.clock.start();
-                    let (leapt, ch) = self.sparse_block(rng, max - advanced);
-                    self.telemetry.spans.sparse_ns += self.telemetry.clock.elapsed_ns(t0);
-                    return (advanced + leapt, changed || ch);
-                }
+            let sparse = self
+                .core
+                .sparse_turn(rng, max - advanced, SPARSE_BLOCK_EVENTS);
+            if let Some((leapt, ch)) = sparse {
+                return (advanced + leapt, changed || ch);
             }
             let (leapt, ch, trigger) = self.chunk_scan(rng, max - advanced);
             advanced += leapt;
@@ -804,7 +500,7 @@ impl<P: Protocol, S: StateWord> BatchGraphSimulator<P, S> {
                 // to the sparse skipper. If the blocks already changed the
                 // counts, return so drivers re-evaluate their predicates
                 // first.
-                self.enter_sparse();
+                self.core.enter_sparse();
                 if changed || advanced >= max {
                     return (advanced, changed);
                 }
@@ -829,47 +525,43 @@ impl<P: Protocol> BatchGraphSimulator<P> {
 
     /// Create from a count configuration with a uniformly shuffled agent
     /// layout (one-byte packing) — the canonical initial law on non-clique
-    /// topologies.
+    /// topologies (see [`shuffled_layout`]).
     pub fn from_config_shuffled(
         protocol: P,
         graph: impl Into<CsrGraph>,
         config: &CountConfig,
         rng: &mut SimRng,
     ) -> Self {
-        Self::with_config_shuffled(protocol, graph, config, rng)
+        Self::with_states(protocol, graph, shuffled_layout(config, rng))
     }
 
     /// Create from a count configuration with a block layout. Only
     /// appropriate when the layout is irrelevant (the complete graph);
     /// prefer [`BatchGraphSimulator::from_config_shuffled`] otherwise.
     pub fn from_config(protocol: P, graph: impl Into<CsrGraph>, config: &CountConfig) -> Self {
-        let mut states = Vec::with_capacity(config.n() as usize);
-        for (idx, &c) in config.counts().iter().enumerate() {
-            states.extend(std::iter::repeat_n(idx, c as usize));
-        }
-        Self::with_states(protocol, graph, states)
+        Self::with_states(protocol, graph, block_layout(config))
     }
 }
 
 impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
     fn population(&self) -> u64 {
-        self.states.len() as u64
+        self.core.states.len() as u64
     }
 
     fn num_states(&self) -> usize {
-        self.k
+        self.core.k
     }
 
     fn counts(&self) -> &[u64] {
-        &self.counts
+        &self.core.counts
     }
 
     fn interactions(&self) -> u64 {
-        self.interactions
+        self.core.interactions
     }
 
     fn effective_interactions(&self) -> u64 {
-        self.effective_interactions
+        self.core.effective_interactions
     }
 
     fn step(&mut self, rng: &mut SimRng) -> bool {
@@ -881,124 +573,35 @@ impl<P: Protocol, S: StateWord> Simulator for BatchGraphSimulator<P, S> {
     }
 
     fn is_silent(&self) -> bool {
-        BatchGraphSimulator::is_silent(self)
+        self.core.is_silent()
     }
 
     fn telemetry(&self) -> &EngineTelemetry {
-        &self.telemetry
+        &self.core.telemetry
     }
 
     fn set_span_timing(&mut self, enabled: bool) {
-        self.telemetry.clock.enabled = enabled;
+        self.core.telemetry.clock.enabled = enabled;
     }
 
     fn set_histograms(&mut self, enabled: bool) {
-        self.hist = if enabled {
-            Some(Box::new(EventHistograms::new()))
-        } else {
-            None
-        };
-        if let Some(s) = &mut self.sparse {
-            s.set_histograms(enabled);
-        }
+        self.core.set_histograms(enabled);
     }
 
     fn histograms(&self) -> Option<EventHistograms> {
-        let mut h = self.hist.as_deref()?.clone();
-        if let Some(sh) = self.sparse.as_ref().and_then(|s| s.histograms()) {
-            h.merge(sh);
-        }
-        Some(h)
+        self.core.histograms()
     }
 
     fn snapshot_state(&self, w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
-        // Graph structure, transition tables, and the chunk/bitmap scratch
-        // are constructor-derived (the scratch buffers are empty between
-        // advancements — chunk_scan always clears them); the mutable state
-        // is the packed agent states, clocks, no-op run, and the skipper.
-        let tag = if S::LIMIT <= 256 {
-            snapshot_tags::BATCH_GRAPH
-        } else {
-            snapshot_tags::WIDE_BATCH_GRAPH
-        };
-        w.put_u8(tag);
-        snapshot_tags::write_config(w, self.states.len() as u64, self.k);
-        w.put_u64(self.states.len() as u64);
-        for &s in &self.states {
-            w.put_u32(s.unpack() as u32);
-        }
-        w.put_u64(self.interactions);
-        w.put_u64(self.effective_interactions);
-        w.put_u32(self.noop_run);
-        self.telemetry.write_snapshot(w);
-        match &self.hist {
-            Some(h) => {
-                w.put_bool(true);
-                h.write_snapshot(w);
-            }
-            None => w.put_bool(false),
-        }
-        match &self.sparse {
-            Some(s) => {
-                w.put_bool(true);
-                s.write_snapshot(w);
-            }
-            None => w.put_bool(false),
-        }
+        // The chunk/bitmap scratch is empty between advancements
+        // (chunk_scan always clears it), so the core's body is the whole
+        // resume state.
+        self.core.write_snapshot(w, Self::TAG);
         Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), CheckpointError> {
-        let tag = if S::LIMIT <= 256 {
-            snapshot_tags::BATCH_GRAPH
-        } else {
-            snapshot_tags::WIDE_BATCH_GRAPH
-        };
-        snapshot_tags::expect(r, tag, snapshot_tags::name(tag))?;
-        snapshot_tags::expect_config(r, self.states.len() as u64, self.k)?;
-        let count = r.get_u64()? as usize;
-        if count != self.states.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "batchgraph snapshot has {count} agents (engine has {})",
-                self.states.len()
-            )));
-        }
-        let mut states = Vec::with_capacity(count);
-        let mut counts = vec![0u64; self.k];
-        for _ in 0..count {
-            let s = r.get_u32()? as usize;
-            if s >= self.k {
-                return Err(CheckpointError::Corrupt(format!(
-                    "agent state index {s} out of range ({} states)",
-                    self.k
-                )));
-            }
-            counts[s] += 1;
-            states.push(S::pack(s));
-        }
-        let interactions = r.get_u64()?;
-        let effective_interactions = r.get_u64()?;
-        let noop_run = r.get_u32()?;
-        let telemetry = EngineTelemetry::read_snapshot(r)?;
-        let hist = if r.get_bool()? {
-            Some(Box::new(EventHistograms::read_snapshot(r)?))
-        } else {
-            None
-        };
-        self.states = states;
-        self.counts = counts;
-        let sparse = if r.get_bool()? {
-            let truth: Vec<u64> = (0..self.edges.len()).map(|e| self.edge_weight(e)).collect();
-            Some(SparseSkipper::read_snapshot(&truth, r)?)
-        } else {
-            None
-        };
-        self.interactions = interactions;
-        self.effective_interactions = effective_interactions;
-        self.noop_run = noop_run;
-        self.telemetry = telemetry;
-        self.hist = hist;
-        self.sparse = sparse;
+        self.core.read_snapshot(r, Self::TAG)?;
         self.block_events.clear();
         Ok(())
     }
@@ -1219,7 +822,7 @@ mod tests {
         while !sim.is_silent() {
             sim.advance_changed(&mut rng, u64::MAX / 2);
             sim.validate_sparse_invariants().unwrap();
-            if sim.sparse.is_some() {
+            if sim.core.sparse.is_some() {
                 sparse_advancements += 1;
             }
         }

@@ -19,33 +19,39 @@
 //!   exactly; no-op-dominated phases use geometric skip-ahead instead.
 //!   O(k² + √n) work per ~√n interactions — sub-constant time per
 //!   interaction, the enabler for n ≥ 10⁸ runs. Clique only.
-//! * [`GraphSimulator`] — the graph-topology counterpart of the leaping
-//!   engines: per-agent states plus a Fenwick tree over per-edge *active*
-//!   (non-no-op) orientation counts, skipping geometrically over no-op
-//!   stretches and paying O(d log m) per **effective** interaction. The
-//!   fast exact engine for no-op-dominated
-//!   [`GraphScheduler`](crate::scheduler::GraphScheduler) topologies.
-//! * [`BatchGraphSimulator`] — multi-event leaping on graphs: pre-generates
-//!   whole blocks of the (configuration-independent) scheduled draw
-//!   sequence, applies every draw whose edge is vertex-disjoint from the
-//!   block's earlier effective edges from block-start states (a matching),
-//!   and falls back to a literal step at the first shared endpoint. The
-//!   fast exact engine for *effective-dominated* graph regimes (expanders);
-//!   hands off to the shared sparse skipper (the same one
-//!   [`GraphSimulator`] uses, driven a block of events at a time) when
-//!   no-ops dominate. [`WideBatchGraphSimulator`] is its u16 state-packing
-//!   fallback for protocols with more than 256 states.
+//! * [`GraphSimulator`] and [`BatchGraphSimulator`] — the graph-topology
+//!   engines: **one core, two dense strategies**. The shared core (the
+//!   private `graph_core` module) owns per-agent states, the graph's edge
+//!   list and CSR adjacency, the clocks, telemetry, the snapshot body, and
+//!   the sparse phase — a Fenwick tree over per-edge *active* (non-no-op)
+//!   orientation counts that skips geometrically over no-op stretches and
+//!   pays O(d log m) per **effective** interaction, the fast exact
+//!   mechanism for no-op-dominated
+//!   [`GraphScheduler`](crate::scheduler::GraphScheduler) topologies. The
+//!   engines differ only in their dense phase: [`GraphSimulator`] draws
+//!   one literal (edge, orientation) at a time and steps the sparse phase
+//!   one event at a time (exact observation), while
+//!   [`BatchGraphSimulator`] pre-generates whole blocks of the
+//!   (configuration-independent) scheduled draw sequence, applies every
+//!   draw whose edge is vertex-disjoint from the block's earlier effective
+//!   edges from block-start states (a matching), falls back to a literal
+//!   step at the first shared endpoint, and steps the sparse phase a block
+//!   of events at a time — the fast exact engine for
+//!   *effective-dominated* graph regimes (expanders).
+//!   [`WideBatchGraphSimulator`] is its u16 state-packing fallback for
+//!   protocols with more than 256 states.
 //! * [`ReplicaSimulator`] — the ensemble engine: up to 64 independent
 //!   replica runs bit-sliced into plane words per agent and advanced
 //!   together by one shared (pair, orientation) schedule, on the clique or
 //!   any interaction graph.
 //!
-//! The graph engines' sparse phases share one block-leaping implementation
-//! (the private `sparse` module): a Fenwick tree over per-edge
-//! active-orientation weights with the total maintained incrementally,
-//! geometric no-op skips whose per-block aggregates are negative-binomial
-//! totals, and tree updates deferred into coalesced batched passes behind
-//! a no-false-negative dirty-edge sidecar.
+//! The graph core's sparse phase (one stepper, called with a per-call
+//! event limit of 1 or 64 by the two engines) rests on the private
+//! `sparse` module: a Fenwick tree over per-edge active-orientation
+//! weights with the total maintained incrementally, geometric no-op skips
+//! whose per-block aggregates are negative-binomial totals, and tree
+//! updates deferred into coalesced batched passes behind a
+//! no-false-negative dirty-edge sidecar.
 //!
 //! The [`Simulator`] trait unifies them so drivers, experiments, the
 //! CLI, and benches can select a backend generically; its
@@ -61,15 +67,17 @@ mod agentwise;
 mod batched;
 mod batched_graph;
 mod countwise;
+mod graph_core;
 mod graphwise;
 mod replica;
 mod sparse;
 
 pub use agentwise::{AgentSimulator, InteractionRecord};
 pub use batched::BatchSimulator;
-pub use batched_graph::{BatchGraphSimulator, StateWord, WideBatchGraphSimulator};
+pub use batched_graph::{BatchGraphSimulator, WideBatchGraphSimulator};
 pub use countwise::CountSimulator;
-pub use graphwise::{shuffled_layout, GraphSimulator};
+pub use graph_core::{block_layout, shuffled_layout, StateWord};
+pub use graphwise::GraphSimulator;
 pub use replica::{BitwiseProtocol, ReplicaSimulator, MAX_LANES, MAX_PLANES};
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};

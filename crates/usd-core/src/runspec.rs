@@ -61,7 +61,7 @@ use crate::config::UsdConfig;
 use crate::dynamics::{SequentialGeneric, SkipAheadGeneric};
 use crate::protocol::UndecidedStateDynamics;
 use crate::stabilization::StabilizationResult;
-use pop_proto::simulator::{shuffled_layout, MAX_LANES};
+use pop_proto::simulator::{block_layout, shuffled_layout, MAX_LANES};
 use pop_proto::{
     AgentSimulator, BatchGraphSimulator, BatchSimulator, CliqueScheduler, CountSimulator, Graph,
     GraphScheduler, GraphSimulator, Observation, Protocol, ReplicaSimulator, SimObserver,
@@ -108,6 +108,22 @@ pub struct RunSpec<'a> {
     histograms: bool,
     ticker: Option<&'a mut dyn RunTicker>,
     observer: Option<&'a mut dyn SimObserver>,
+}
+
+/// The batch-graph engine for `states`. USD with k opinions has k + 1
+/// states; alphabets past one byte route to the u16 state-packing fallback
+/// instead of being rejected (twice the state-array footprint, same
+/// engine).
+fn batch_graph_engine(
+    proto: UndecidedStateDynamics,
+    graph: Graph,
+    states: Vec<usize>,
+) -> Box<dyn Simulator> {
+    if proto.num_states() <= <u8 as StateWord>::LIMIT {
+        Box::new(BatchGraphSimulator::new(proto, graph, states))
+    } else {
+        Box::new(WideBatchGraphSimulator::with_states(proto, graph, states))
+    }
 }
 
 impl<'a> RunSpec<'a> {
@@ -318,15 +334,8 @@ impl<'a> RunSpec<'a> {
                 let graph = TopologyFamily::Complete.build(self.config.n() as usize, 0);
                 if self.backend == Backend::Graph {
                     Box::new(GraphSimulator::from_config(proto, graph, &counts))
-                } else if proto.num_states() <= <u8 as StateWord>::LIMIT {
-                    Box::new(BatchGraphSimulator::from_config(proto, graph, &counts))
                 } else {
-                    // u16 state-packing fallback for k > 256.
-                    let mut states = Vec::with_capacity(counts.n() as usize);
-                    for (idx, &c) in counts.counts().iter().enumerate() {
-                        states.extend(std::iter::repeat_n(idx, c as usize));
-                    }
-                    Box::new(WideBatchGraphSimulator::with_states(proto, graph, states))
+                    batch_graph_engine(proto, graph, block_layout(&counts))
                 }
             }
             Backend::Sequential => Box::new(SequentialGeneric::new(self.config)),
@@ -359,18 +368,7 @@ impl<'a> RunSpec<'a> {
                 let states = shuffled_layout(&counts, rng);
                 Box::new(GraphSimulator::new(proto, graph, states))
             }
-            // USD with k opinions has k + 1 states; alphabets past one
-            // byte route to the u16 state-packing fallback instead of
-            // being rejected (twice the state-array footprint, same
-            // engine).
-            Backend::BatchGraph if proto.num_states() <= <u8 as StateWord>::LIMIT => {
-                let states = shuffled_layout(&counts, rng);
-                Box::new(BatchGraphSimulator::new(proto, graph, states))
-            }
-            Backend::BatchGraph => {
-                let states = shuffled_layout(&counts, rng);
-                Box::new(WideBatchGraphSimulator::with_states(proto, graph, states))
-            }
+            Backend::BatchGraph => batch_graph_engine(proto, graph, shuffled_layout(&counts, rng)),
             Backend::Replica => {
                 let layouts: Vec<Vec<usize>> =
                     (0..lanes).map(|_| shuffled_layout(&counts, rng)).collect();
