@@ -28,8 +28,8 @@
 //! aggregate throughput.
 
 use pop_proto::{
-    AgentSimulator, BatchGraphSimulator, Graph, GraphScheduler, GraphSimulator, Simulator,
-    TopologyFamily,
+    AgentSimulator, BatchGraphSimulator, EngineTelemetry, EventHistograms, Graph, GraphScheduler,
+    GraphSimulator, Simulator, TopologyFamily,
 };
 use sim_stats::rng::SimRng;
 use usd_core::backend::Backend;
@@ -46,19 +46,19 @@ struct Row {
     wall_s: f64,
     scheduled: u64,
     effective: u64,
-    /// The engine's event histograms as a schema-stable JSON object
-    /// (`EventHistograms::to_json` — p50/p90/p99/n per per-event
-    /// quantity), embedded verbatim in `Row::json` immediately before
-    /// the telemetry block. Every bench run enables the histograms, so
-    /// the overhead they add is part of the measured wall time (one
-    /// predictable branch per event — see the pop-proto timeline docs).
-    histograms: String,
-    /// The engine's telemetry run report as a schema-stable JSON object
-    /// (`EngineTelemetry::to_json`), embedded verbatim in `Row::json` as
-    /// its LAST field so first-occurrence key scanners keep finding the
-    /// row's own top-level keys first (the nested blocks repeat names
-    /// like `n` and `scheduled`).
-    telemetry: String,
+    /// The engine's event histograms (`None` for an engine that reports
+    /// none), written by `Row::json` as the `EventHistograms::to_json`
+    /// object (`{}` when absent) immediately before the telemetry block.
+    /// Every bench run enables the histograms, so the overhead they add
+    /// is part of the measured wall time (one predictable branch per
+    /// event — see the pop-proto timeline docs).
+    histograms: Option<EventHistograms>,
+    /// The engine's telemetry, written by `Row::json` as the
+    /// `EngineTelemetry::to_json` object in its LAST field so
+    /// first-occurrence key scanners keep finding the row's own top-level
+    /// keys first (the nested blocks repeat names like `n` and
+    /// `scheduled`).
+    telemetry: EngineTelemetry,
 }
 
 impl Row {
@@ -85,18 +85,12 @@ impl Row {
             self.effective,
             self.sched_per_s(),
             self.eff_per_s(),
-            self.histograms,
-            self.telemetry,
+            self.histograms
+                .as_ref()
+                .map_or_else(|| "{}".to_string(), |h| h.to_json()),
+            self.telemetry.to_json(),
         )
     }
-}
-
-/// The histogram JSON a driven simulator reports once
-/// [`Simulator::set_histograms`] was enabled (`{}` for an engine that
-/// somehow reports none, so the row still parses).
-fn hist_json(sim: &dyn Simulator) -> String {
-    sim.histograms()
-        .map_or_else(|| "{}".to_string(), |h| h.to_json())
 }
 
 /// Build a topology simulator for one of the graph-capable backends.
@@ -127,8 +121,8 @@ fn topo_stabilize_row(backend: Backend, family: TopologyFamily, n: u64, k: usize
         wall_s: start.elapsed().as_secs_f64(),
         scheduled: sim.interactions(),
         effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
+        histograms: sim.histograms(),
+        telemetry: *sim.telemetry(),
     }
 }
 
@@ -183,8 +177,8 @@ fn cycle_frontier_row(backend: Backend, n: usize, target: u64) -> Row {
         wall_s: start.elapsed().as_secs_f64(),
         scheduled: sim.interactions(),
         effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
+        histograms: sim.histograms(),
+        telemetry: *sim.telemetry(),
     }
 }
 
@@ -206,8 +200,8 @@ fn frontier_stabilize_row(backend: Backend, n: usize) -> Row {
         wall_s: start.elapsed().as_secs_f64(),
         scheduled: sim.interactions(),
         effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
+        histograms: sim.histograms(),
+        telemetry: *sim.telemetry(),
     }
 }
 
@@ -239,8 +233,8 @@ fn torus_endgame_row(backend: Backend, n: usize, patch: usize) -> Row {
         wall_s: start.elapsed().as_secs_f64(),
         scheduled: sim.interactions(),
         effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
+        histograms: sim.histograms(),
+        telemetry: *sim.telemetry(),
     }
 }
 
@@ -274,8 +268,8 @@ fn replica_ensemble_row(family: Option<TopologyFamily>, n: u64, k: usize, lanes:
         wall_s: start.elapsed().as_secs_f64(),
         scheduled: sim.interactions(),
         effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
+        histograms: sim.histograms(),
+        telemetry: *sim.telemetry(),
     }
 }
 
@@ -297,8 +291,8 @@ fn clique_row(backend: Backend, n: u64, k: usize) -> Row {
         wall_s: start.elapsed().as_secs_f64(),
         scheduled: sim.interactions(),
         effective: sim.effective_interactions(),
-        histograms: hist_json(sim.as_ref()),
-        telemetry: sim.telemetry().to_json(),
+        histograms: sim.histograms(),
+        telemetry: *sim.telemetry(),
     }
 }
 
@@ -703,6 +697,63 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A row with live histograms and telemetry; `Row::json` of it must
+    /// equal [`PINNED_ROW_JSON`] byte for byte.
+    fn pinned_row() -> Row {
+        let mut histograms = EventHistograms::new();
+        for v in [1u64, 3, 9, 27, 81] {
+            histograms.skip_len.add_u64(v);
+        }
+        histograms.fallback_run.add_u64(2);
+        let mut telemetry = EngineTelemetry::new();
+        telemetry.scheduled = 4_000;
+        telemetry.effective = 1_000;
+        telemetry.sparse.events = 17;
+        telemetry.spans.apply_ns = 5;
+        Row {
+            backend: "batchgraph",
+            topology: "torus-endgame".to_string(),
+            n: 65_536,
+            mode: "stabilize",
+            wall_s: 0.125,
+            scheduled: 4_000,
+            effective: 1_000,
+            histograms: Some(histograms),
+            telemetry,
+        }
+    }
+
+    const PINNED_ROW_JSON: &str =
+        "{\"backend\":\"batchgraph\",\"topology\":\"torus-endgame\",\"n\":65536,\
+     \"mode\":\"stabilize\",\"wall_s\":0.125000,\"scheduled\":4000,\"effective\":1000,\
+     \"scheduled_per_s\":32000.0,\"effective_per_s\":8000.0,\
+     \"histograms\":{\"skip_len\":{\"p50\":8,\"p90\":64,\"p99\":64,\"n\":5},\
+     \"block_total\":{\"p50\":0,\"p90\":0,\"p99\":0,\"n\":0},\
+     \"block_size\":{\"p50\":0,\"p90\":0,\"p99\":0,\"n\":0},\
+     \"flush_size\":{\"p50\":0,\"p90\":0,\"p99\":0,\"n\":0},\
+     \"flush_occupancy\":{\"p50\":0,\"p90\":0,\"p99\":0,\"n\":0},\
+     \"fallback_run\":{\"p50\":2,\"p90\":2,\"p99\":2,\"n\":1}},\
+     \"telemetry\":{\"scheduled\":4000,\"effective\":1000,\"dense_steps\":0,\"blocks\":0,\
+     \"block_draws\":0,\"block_applied\":0,\"fallback_literal\":0,\"sparse_enters\":0,\
+     \"sparse_exits\":0,\"pair_draws\":0,\"skip_draws\":0,\"table_draws\":0,\
+     \"sparse\":{\"events\":17,\"skip_draws\":0,\"event_draws\":0,\"flushes\":0,\
+     \"updates_deferred\":0,\"updates_immediate\":0,\"entries_applied\":0,\
+     \"entries_cancelled\":0,\"log_cache_hits\":0,\"log_cache_misses\":0,\
+     \"bypass_enters\":0,\"bypass_exits\":0},\
+     \"spans\":{\"dense_ns\":0,\"sparse_ns\":0,\"gather_ns\":0,\"apply_ns\":5},\
+     \"rates\":{\"effective_fraction\":0.250000,\"cancel_rate\":0.000000,\
+     \"fallback_rate\":0.000000}}}";
+
+    #[test]
+    fn row_json_bytes_are_pinned() {
+        assert_eq!(pinned_row().json(), PINNED_ROW_JSON);
+        let bare = Row {
+            histograms: None,
+            ..pinned_row()
+        };
+        assert!(bare.json().contains(",\"histograms\":{},\"telemetry\":{"));
+    }
 
     #[test]
     fn pinned_grids_cover_both_modes() {

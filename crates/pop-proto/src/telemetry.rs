@@ -609,6 +609,59 @@ mod tests {
         assert_eq!(depth, 0, "unbalanced braces in {j}");
     }
 
+    /// Telemetry with all 28 counters set to distinct values.
+    pub(crate) fn distinct_telemetry() -> EngineTelemetry {
+        let mut t = EngineTelemetry::new();
+        t.scheduled = 3_000;
+        t.effective = 1_000;
+        t.dense_steps = 3;
+        t.blocks = 4;
+        t.block_draws = 5;
+        t.block_applied = 140;
+        t.fallback_literal = 20;
+        t.sparse_enters = 8;
+        t.sparse_exits = 7;
+        t.pair_draws = 10;
+        t.skip_draws = 11;
+        t.table_draws = 12;
+        t.sparse.events = 13;
+        t.sparse.skip_draws = 14;
+        t.sparse.event_draws = 15;
+        t.sparse.flushes = 16;
+        t.sparse.updates_deferred = 17;
+        t.sparse.updates_immediate = 18;
+        t.sparse.entries_applied = 90;
+        t.sparse.entries_cancelled = 10;
+        t.sparse.log_cache_hits = 21;
+        t.sparse.log_cache_misses = 22;
+        t.sparse.bypass_enters = 23;
+        t.sparse.bypass_exits = 24;
+        t.spans.dense_ns = 25;
+        t.spans.sparse_ns = 26;
+        t.spans.gather_ns = 27;
+        t.spans.apply_ns = 28;
+        t
+    }
+
+    /// The exact bytes `EngineTelemetry::to_json` writes for
+    /// [`distinct_telemetry`].
+    pub(crate) const PINNED_TELEMETRY_JSON: &str =
+        "{\"scheduled\":3000,\"effective\":1000,\"dense_steps\":3,\"blocks\":4,\
+         \"block_draws\":5,\"block_applied\":140,\"fallback_literal\":20,\"sparse_enters\":8,\
+         \"sparse_exits\":7,\"pair_draws\":10,\"skip_draws\":11,\"table_draws\":12,\
+         \"sparse\":{\"events\":13,\"skip_draws\":14,\"event_draws\":15,\"flushes\":16,\
+         \"updates_deferred\":17,\"updates_immediate\":18,\"entries_applied\":90,\
+         \"entries_cancelled\":10,\"log_cache_hits\":21,\"log_cache_misses\":22,\
+         \"bypass_enters\":23,\"bypass_exits\":24},\
+         \"spans\":{\"dense_ns\":25,\"sparse_ns\":26,\"gather_ns\":27,\"apply_ns\":28},\
+         \"rates\":{\"effective_fraction\":0.333333,\"cancel_rate\":0.100000,\
+         \"fallback_rate\":0.125000}}";
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        assert_eq!(distinct_telemetry().to_json(), PINNED_TELEMETRY_JSON);
+    }
+
     #[test]
     fn delta_subtracts_every_counter() {
         let mut earlier = EngineTelemetry::new();

@@ -648,6 +648,63 @@ mod tests {
         assert!(j.contains("\"skip_len\":{\"p50\":32,"), "{j}");
     }
 
+    /// Histograms with every field live and distinct.
+    pub(crate) fn distinct_histograms() -> EventHistograms {
+        let mut h = EventHistograms::new();
+        for i in 1..=100u64 {
+            h.skip_len.add_u64(i);
+        }
+        for i in 0..40u64 {
+            h.block_total.add_u64(1 << (i % 20));
+        }
+        for i in 1..=9u64 {
+            h.block_size.add_u64(i * 3);
+        }
+        h.flush_size.add_u64(5);
+        for i in 0..16u64 {
+            h.flush_occupancy.add_u64(i * i);
+        }
+        h.fallback_run.add_u64(1_000_000);
+        h.fallback_run.add_u64(7);
+        h
+    }
+
+    /// The exact bytes `EventHistograms::to_json` writes for
+    /// [`distinct_histograms`].
+    pub(crate) const PINNED_HISTOGRAMS_JSON: &str =
+        "{\"skip_len\":{\"p50\":32,\"p90\":64,\"p99\":64,\"n\":100},\
+         \"block_total\":{\"p50\":512,\"p90\":131072,\"p99\":524288,\"n\":40},\
+         \"block_size\":{\"p50\":8,\"p90\":16,\"p99\":16,\"n\":9},\
+         \"flush_size\":{\"p50\":4,\"p90\":4,\"p99\":4,\"n\":1},\
+         \"flush_occupancy\":{\"p50\":32,\"p90\":128,\"p99\":128,\"n\":16},\
+         \"fallback_run\":{\"p50\":4,\"p90\":524288,\"p99\":524288,\"n\":2}}";
+
+    /// The exact bytes `TimelineSample::to_json` writes for a sample
+    /// carrying the distinct-counter telemetry as its delta.
+    pub(crate) const PINNED_SAMPLE_JSON: &str =
+        "{\"sample\":3,\"scheduled\":262144,\"effective\":9001,\"phase\":\"sparse\",\
+         \"d_scheduled\":3000,\"d_effective\":1000,\"d_dense_steps\":3,\"d_blocks\":4,\
+         \"d_block_applied\":140,\"d_fallback_literal\":20,\"d_sparse_enters\":8,\
+         \"d_sparse_exits\":7,\"d_sparse_events\":13,\"d_sparse_flushes\":16,\
+         \"rates\":{\"effective_fraction\":0.333333,\"cancel_rate\":0.100000,\
+         \"fallback_rate\":0.125000}}";
+
+    fn pinned_sample() -> TimelineSample {
+        TimelineSample {
+            index: 3,
+            scheduled: 262_144,
+            effective: 9_001,
+            phase: "sparse",
+            delta: crate::telemetry::tests::distinct_telemetry(),
+        }
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        assert_eq!(distinct_histograms().to_json(), PINNED_HISTOGRAMS_JSON);
+        assert_eq!(pinned_sample().to_json(), PINNED_SAMPLE_JSON);
+    }
+
     #[test]
     fn phase_tag_tracks_enter_exit_balance() {
         let mut t = EngineTelemetry::new();

@@ -1219,6 +1219,74 @@ mod tests {
         cmd_run(&s(&["--n", "500", "--k", "2", "--progress-every", "1000"])).unwrap();
     }
 
+    /// `run_report_json` for a fixed run, with or without histograms.
+    fn pinned_report(histograms: Option<&EventHistograms>) -> String {
+        let result = usd_core::stabilization::StabilizationResult {
+            outcome: ConsensusOutcome::Winner(1),
+            interactions: 123_456,
+            initial_plurality: Some(1),
+        };
+        let mut telemetry = EngineTelemetry::new();
+        telemetry.scheduled = 123_456;
+        telemetry.effective = 40_000;
+        telemetry.pair_draws = 123_456;
+        telemetry.spans.dense_ns = 9;
+        run_report_json(
+            Backend::Graph,
+            1_000,
+            3,
+            42,
+            &result,
+            std::time::Duration::from_micros(2_500),
+            histograms,
+            &telemetry,
+        )
+    }
+
+    const PINNED_REPORT: &str = "{\"backend\":\"graph\",\"n\":1000,\"k\":3,\"seed\":42,\
+        \"outcome\":\"winner:1\",\"interactions\":123456,\"parallel_time\":123.456000,\
+        \"wall_ms\":2.500,\"telemetry\":{\"scheduled\":123456,\"effective\":40000,\
+        \"dense_steps\":0,\"blocks\":0,\"block_draws\":0,\"block_applied\":0,\
+        \"fallback_literal\":0,\"sparse_enters\":0,\"sparse_exits\":0,\
+        \"pair_draws\":123456,\"skip_draws\":0,\"table_draws\":0,\
+        \"sparse\":{\"events\":0,\"skip_draws\":0,\"event_draws\":0,\"flushes\":0,\
+        \"updates_deferred\":0,\"updates_immediate\":0,\"entries_applied\":0,\
+        \"entries_cancelled\":0,\"log_cache_hits\":0,\"log_cache_misses\":0,\
+        \"bypass_enters\":0,\"bypass_exits\":0},\"spans\":{\"dense_ns\":9,\
+        \"sparse_ns\":0,\"gather_ns\":0,\"apply_ns\":0},\
+        \"rates\":{\"effective_fraction\":0.324002,\"cancel_rate\":0.000000,\
+        \"fallback_rate\":0.000000}}}";
+    const PINNED_REPORT_WITH_HISTOGRAMS: &str =
+        "{\"backend\":\"graph\",\"n\":1000,\"k\":3,\"seed\":42,\
+        \"outcome\":\"winner:1\",\"interactions\":123456,\"parallel_time\":123.456000,\
+        \"wall_ms\":2.500,\"histograms\":{\"skip_len\":{\"p50\":16,\"p90\":32,\
+        \"p99\":32,\"n\":40},\"block_total\":{\"p50\":0,\"p90\":0,\"p99\":0,\"n\":0},\
+        \"block_size\":{\"p50\":4,\"p90\":4,\"p99\":4,\"n\":1},\
+        \"flush_size\":{\"p50\":0,\"p90\":0,\"p99\":0,\"n\":0},\
+        \"flush_occupancy\":{\"p50\":0,\"p90\":0,\"p99\":0,\"n\":0},\
+        \"fallback_run\":{\"p50\":0,\"p90\":0,\"p99\":0,\"n\":0}},\
+        \"telemetry\":{\"scheduled\":123456,\"effective\":40000,\"dense_steps\":0,\
+        \"blocks\":0,\"block_draws\":0,\"block_applied\":0,\"fallback_literal\":0,\
+        \"sparse_enters\":0,\"sparse_exits\":0,\"pair_draws\":123456,\"skip_draws\":0,\
+        \"table_draws\":0,\"sparse\":{\"events\":0,\"skip_draws\":0,\"event_draws\":0,\
+        \"flushes\":0,\"updates_deferred\":0,\"updates_immediate\":0,\
+        \"entries_applied\":0,\"entries_cancelled\":0,\"log_cache_hits\":0,\
+        \"log_cache_misses\":0,\"bypass_enters\":0,\"bypass_exits\":0},\
+        \"spans\":{\"dense_ns\":9,\"sparse_ns\":0,\"gather_ns\":0,\"apply_ns\":0},\
+        \"rates\":{\"effective_fraction\":0.324002,\"cancel_rate\":0.000000,\
+        \"fallback_rate\":0.000000}}}";
+
+    #[test]
+    fn run_report_json_bytes_are_pinned() {
+        assert_eq!(pinned_report(None), PINNED_REPORT);
+        let mut h = EventHistograms::new();
+        for v in 1..=40u64 {
+            h.skip_len.add_u64(v);
+        }
+        h.block_size.add_u64(6);
+        assert_eq!(pinned_report(Some(&h)), PINNED_REPORT_WITH_HISTOGRAMS);
+    }
+
     #[test]
     fn run_rejects_bad_telemetry_and_heartbeat_values() {
         assert!(cmd_run(&s(&["--n", "500", "--telemetry=yaml"])).is_err());
