@@ -19,9 +19,9 @@
 //! derived from the same run) or a fixed scheduled-interaction drive (the
 //! cycle-frontier row, whose stabilization is Θ(n²) parallel time and
 //! which exists to measure the no-op-dominated regime the sparse skippers
-//! leap over). `--json` writes the rows as `BENCH_backends.json`
-//! (hand-rolled JSON, no dependencies) so CI can archive the numbers and
-//! regressions are visible in review diffs. Every row embeds the engine's
+//! leap over). `--json` writes the rows as `BENCH_backends.json` (one
+//! row per line, through `sim_stats::json`) so CI can archive the numbers
+//! and regressions are visible in review diffs. Every row embeds the engine's
 //! telemetry block plus its per-event histogram quantiles
 //! (`EventHistograms::to_json`), so `bench_compare` can trend p50/p90/p99
 //! of skip lengths, block totals, and flush sizes across PRs, not just
@@ -31,6 +31,7 @@ use pop_proto::{
     AgentSimulator, BatchGraphSimulator, EngineTelemetry, EventHistograms, Graph, GraphScheduler,
     GraphSimulator, Simulator, TopologyFamily,
 };
+use sim_stats::json::ObjectWriter;
 use sim_stats::rng::SimRng;
 use usd_core::backend::Backend;
 use usd_core::init::InitialConfigBuilder;
@@ -54,10 +55,7 @@ struct Row {
     /// event — see the pop-proto timeline docs).
     histograms: Option<EventHistograms>,
     /// The engine's telemetry, written by `Row::json` as the
-    /// `EngineTelemetry::to_json` object in its LAST field so
-    /// first-occurrence key scanners keep finding the row's own top-level
-    /// keys first (the nested blocks repeat names like `n` and
-    /// `scheduled`).
+    /// `EngineTelemetry::to_json` object.
     telemetry: EngineTelemetry,
 }
 
@@ -70,26 +68,46 @@ impl Row {
         self.effective as f64 / self.wall_s
     }
 
+    /// The row for a simulator driven since `start`.
+    fn measured(
+        backend: Backend,
+        topology: &str,
+        n: u64,
+        mode: &'static str,
+        start: std::time::Instant,
+        sim: &dyn Simulator,
+    ) -> Row {
+        Row {
+            backend: backend.name(),
+            topology: topology.to_string(),
+            n,
+            mode,
+            wall_s: start.elapsed().as_secs_f64(),
+            scheduled: sim.interactions(),
+            effective: sim.effective_interactions(),
+            histograms: sim.histograms(),
+            telemetry: *sim.telemetry(),
+        }
+    }
+
     fn json(&self) -> String {
-        format!(
-            "{{\"backend\":\"{}\",\"topology\":\"{}\",\"n\":{},\"mode\":\"{}\",\
-             \"wall_s\":{:.6},\"scheduled\":{},\"effective\":{},\
-             \"scheduled_per_s\":{:.1},\"effective_per_s\":{:.1},\
-             \"histograms\":{},\"telemetry\":{}}}",
-            self.backend,
-            self.topology,
-            self.n,
-            self.mode,
-            self.wall_s,
-            self.scheduled,
-            self.effective,
-            self.sched_per_s(),
-            self.eff_per_s(),
-            self.histograms
-                .as_ref()
-                .map_or_else(|| "{}".to_string(), |h| h.to_json()),
-            self.telemetry.to_json(),
-        )
+        let mut o = ObjectWriter::new();
+        o.str("backend", self.backend)
+            .str("topology", &self.topology)
+            .u64("n", self.n)
+            .str("mode", self.mode)
+            .f64("wall_s", self.wall_s, 6)
+            .u64("scheduled", self.scheduled)
+            .u64("effective", self.effective)
+            .f64("scheduled_per_s", self.sched_per_s(), 1)
+            .f64("effective_per_s", self.eff_per_s(), 1)
+            .object("histograms", |o| {
+                if let Some(h) = &self.histograms {
+                    h.write_json(o);
+                }
+            })
+            .object("telemetry", |o| self.telemetry.write_json(o));
+        o.finish()
     }
 }
 
@@ -113,17 +131,7 @@ fn topo_stabilize_row(backend: Backend, family: TopologyFamily, n: u64, k: usize
     sim.set_histograms(true);
     let start = std::time::Instant::now();
     sim.run_to_silence(&mut rng, u64::MAX / 2);
-    Row {
-        backend: backend.name(),
-        topology: family.name(),
-        n,
-        mode: "stabilize",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: sim.histograms(),
-        telemetry: *sim.telemetry(),
-    }
+    Row::measured(backend, &family.name(), n, "stabilize", start, &*sim)
 }
 
 /// Build a graph-engine simulator over explicit per-agent states.
@@ -169,17 +177,7 @@ fn cycle_frontier_row(backend: Backend, n: usize, target: u64) -> Row {
             break;
         }
     }
-    Row {
-        backend: backend.name(),
-        topology: "cycle-frontier".to_string(),
-        n: n as u64,
-        mode: "target",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: sim.histograms(),
-        telemetry: *sim.telemetry(),
-    }
+    Row::measured(backend, "cycle-frontier", n as u64, "target", start, &*sim)
 }
 
 /// Full stabilization from the cycle-frontier configuration: the boundary
@@ -192,17 +190,14 @@ fn frontier_stabilize_row(backend: Backend, n: usize) -> Row {
     sim.set_histograms(true);
     let start = std::time::Instant::now();
     sim.run_to_silence(&mut rng, u64::MAX / 2);
-    Row {
-        backend: backend.name(),
-        topology: "cycle-frontier".to_string(),
-        n: n as u64,
-        mode: "stabilize",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: sim.histograms(),
-        telemetry: *sim.telemetry(),
-    }
+    Row::measured(
+        backend,
+        "cycle-frontier",
+        n as u64,
+        "stabilize",
+        start,
+        &*sim,
+    )
 }
 
 /// Torus endgame stabilization: one minority square patch on an
@@ -225,17 +220,14 @@ fn torus_endgame_row(backend: Backend, n: usize, patch: usize) -> Row {
     sim.set_histograms(true);
     let start = std::time::Instant::now();
     sim.run_to_silence(&mut rng, u64::MAX / 2);
-    Row {
-        backend: backend.name(),
-        topology: "torus-endgame".to_string(),
-        n: n as u64,
-        mode: "stabilize",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: sim.histograms(),
-        telemetry: *sim.telemetry(),
-    }
+    Row::measured(
+        backend,
+        "torus-endgame",
+        n as u64,
+        "stabilize",
+        start,
+        &*sim,
+    )
 }
 
 /// Bit-parallel replica ensemble stabilization: `lanes` independent runs
@@ -260,17 +252,8 @@ fn replica_ensemble_row(family: Option<TopologyFamily>, n: u64, k: usize, lanes:
     sim.set_histograms(true);
     let start = std::time::Instant::now();
     sim.run_to_silence(&mut rng, u64::MAX / 2);
-    Row {
-        backend: Backend::Replica.name(),
-        topology: family.map_or_else(|| "clique".to_string(), |f| f.name()),
-        n,
-        mode: "stabilize",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: sim.histograms(),
-        telemetry: *sim.telemetry(),
-    }
+    let label = family.map_or_else(|| "clique".to_string(), |f| f.name());
+    Row::measured(Backend::Replica, &label, n, "stabilize", start, &*sim)
 }
 
 /// Clique stabilization through the generic simulator entry point (every
@@ -283,17 +266,7 @@ fn clique_row(backend: Backend, n: u64, k: usize) -> Row {
     sim.set_histograms(true);
     let start = std::time::Instant::now();
     sim.run_to_silence(&mut rng, u64::MAX / 2);
-    Row {
-        backend: backend.name(),
-        topology: "clique".to_string(),
-        n,
-        mode: "stabilize",
-        wall_s: start.elapsed().as_secs_f64(),
-        scheduled: sim.interactions(),
-        effective: sim.effective_interactions(),
-        histograms: sim.histograms(),
-        telemetry: *sim.telemetry(),
-    }
+    Row::measured(backend, "clique", n, "stabilize", start, &*sim)
 }
 
 /// One planned (not yet run) scenario of the pinned grid.
@@ -680,13 +653,11 @@ fn main() {
     }
 
     if let Some(path) = json {
-        let body: Vec<String> = rows.iter().map(|r| format!("  {}", r.json())).collect();
-        let doc = format!(
-            "{{\n\"workload\": \"bench_backends\",\n\"quick\": {},\n\"rows\": [\n{}\n]\n}}\n",
-            quick,
-            body.join(",\n")
-        );
-        std::fs::write(&path, doc).unwrap_or_else(|e| {
+        let mut doc = ObjectWriter::document();
+        doc.str("workload", "bench_backends")
+            .bool("quick", quick)
+            .rows("rows", rows.iter().map(Row::json));
+        std::fs::write(&path, doc.finish()).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });
@@ -753,6 +724,41 @@ mod tests {
             ..pinned_row()
         };
         assert!(bare.json().contains(",\"histograms\":{},\"telemetry\":{"));
+    }
+
+    #[test]
+    fn pinned_row_parses_with_the_documented_keys_in_order() {
+        use sim_stats::json::{parse, Value};
+        let row = parse(PINNED_ROW_JSON).unwrap();
+        let keys: Vec<&str> = row.keys().collect();
+        assert_eq!(
+            keys,
+            [
+                "backend",
+                "topology",
+                "n",
+                "mode",
+                "wall_s",
+                "scheduled",
+                "effective",
+                "scheduled_per_s",
+                "effective_per_s",
+                "histograms",
+                "telemetry"
+            ]
+        );
+        assert_eq!(row.get("n").and_then(Value::as_u64), Some(65_536));
+        assert_eq!(
+            row.get("effective_per_s").and_then(Value::as_f64),
+            Some(8_000.0)
+        );
+        let mut doc = ObjectWriter::document();
+        doc.str("workload", "bench_backends")
+            .bool("quick", false)
+            .rows("rows", [pinned_row().json()]);
+        let doc = parse(&doc.finish()).unwrap();
+        let rows = doc.get("rows").and_then(Value::as_array).unwrap();
+        assert_eq!(rows[0], row);
     }
 
     #[test]

@@ -72,12 +72,13 @@
 //! `target`-mode rows (fixed scheduled-interaction drives) are reported
 //! for context but not gated: their wall time is dominated by the
 //! scheduled-throughput extremes the sparse skipper produces, which swing
-//! orders of magnitude with trivial phase-boundary shifts. The JSON
-//! parser is hand-rolled for exactly the object layout `bench_backends`
-//! writes: rows are split by balanced-brace scanning (each row embeds a
-//! nested `telemetry` object), and the row's own scalar fields are found
-//! by first occurrence, which is safe because `bench_backends` emits the
-//! telemetry object as the row's **last** key.
+//! orders of magnitude with trivial phase-boundary shifts. Documents are
+//! read with the strict `sim_stats::json` parser and every field is looked
+//! up by key, so neither the order of a row's keys nor the names its
+//! nested `histograms`/`telemetry` objects repeat can shift what the gate
+//! reads.
+
+use sim_stats::json::{self, Value};
 
 /// The telemetry summary a row may carry (`None` when the row predates
 /// telemetry, or its block is empty/unparseable — the distinction only
@@ -125,165 +126,73 @@ impl CmpRow {
     }
 }
 
-fn str_field(obj: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\":\"");
-    let start = obj
-        .find(&pat)
-        .ok_or_else(|| format!("missing string field '{key}' in row {obj:?}"))?
-        + pat.len();
-    let end = obj[start..]
-        .find('"')
-        .ok_or_else(|| format!("unterminated string field '{key}'"))?
-        + start;
-    Ok(obj[start..end].to_string())
-}
-
-fn num_field(obj: &str, key: &str) -> Result<f64, String> {
-    let pat = format!("\"{key}\":");
-    let start = obj
-        .find(&pat)
-        .ok_or_else(|| format!("missing numeric field '{key}' in row {obj:?}"))?
-        + pat.len();
-    let tail = &obj[start..];
-    let end = tail
-        .find(|c: char| {
-            c != '-' && c != '.' && c != 'e' && c != 'E' && c != '+' && !c.is_ascii_digit()
-        })
-        .unwrap_or(tail.len());
-    tail[..end]
-        .parse()
-        .map_err(|e| format!("field '{key}': {e}"))
-}
-
-/// Byte range (inclusive of both braces) of the balanced `{...}` object
-/// starting at byte `at` (which must be `{`). String-aware, so a `{` or
-/// `}` inside a quoted topology label cannot desynchronize the scan.
-fn balanced_object(s: &str, at: usize) -> Result<(usize, usize), String> {
-    let bytes = s.as_bytes();
-    if bytes.get(at) != Some(&b'{') {
-        return Err("expected '{' at object start".to_string());
-    }
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (off, &b) in bytes[at..].iter().enumerate() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => escaped = true,
-            b'"' => in_str = !in_str,
-            b'{' if !in_str => depth += 1,
-            b'}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok((at, at + off + 1));
-                }
-            }
-            _ => {}
-        }
-    }
-    Err("unterminated object".to_string())
-}
-
-/// Extract and summarize a row's nested `telemetry` object. `None` when
-/// the key is absent or the block lacks the expected counters/rates.
-fn parse_telemetry(obj: &str) -> Option<TelemetrySummary> {
-    let at = obj.find("\"telemetry\":")?;
-    let open = at + obj[at..].find('{')?;
-    let (start, end) = balanced_object(obj, open).ok()?;
-    let t = &obj[start..end];
+/// Summarize a row's nested `telemetry` object. `None` when the key is
+/// absent or the block lacks the expected counters/rates.
+fn parse_telemetry(row: &Value) -> Option<TelemetrySummary> {
+    let t = row.get("telemetry")?;
+    let rate = |key| t.get("rates")?.get(key)?.as_f64();
     Some(TelemetrySummary {
-        scheduled: num_field(t, "scheduled").ok()? as u64,
-        effective_fraction: num_field(t, "effective_fraction").ok()?,
-        cancel_rate: num_field(t, "cancel_rate").ok()?,
-        fallback_rate: num_field(t, "fallback_rate").ok()?,
+        scheduled: t.get("scheduled")?.as_u64()?,
+        effective_fraction: rate("effective_fraction")?,
+        cancel_rate: rate("cancel_rate")?,
+        fallback_rate: rate("fallback_rate")?,
     })
 }
 
-/// Extract a row's nested `histograms` object into its per-field
-/// quantile summaries, in the order the block lists them. Empty when the
-/// key is absent or any structure is off — histograms are advisory, so a
-/// malformed block degrades to "no columns", unlike the row's own scalar
-/// fields whose absence is a parse error.
-fn parse_histograms(obj: &str) -> Vec<HistField> {
-    let Some(at) = obj.find("\"histograms\":") else {
-        return Vec::new();
-    };
-    let Some(open) = obj[at..].find('{') else {
-        return Vec::new();
-    };
-    let Ok((start, end)) = balanced_object(obj, at + open) else {
-        return Vec::new();
-    };
-    let block = &obj[start..end];
-    let mut out = Vec::new();
-    let mut i = 1; // past the opening '{'
-    while let Some(q) = block[i..].find('"') {
-        let key_start = i + q + 1;
-        let Some(qe) = block[key_start..].find('"') else {
-            break;
-        };
-        let key_end = key_start + qe;
-        let Some(ob) = block[key_end..].find('{') else {
-            break;
-        };
-        let Ok((fs, fe)) = balanced_object(block, key_end + ob) else {
-            break;
-        };
-        let field = &block[fs..fe];
-        if let (Ok(p50), Ok(p90), Ok(p99), Ok(n)) = (
-            num_field(field, "p50"),
-            num_field(field, "p90"),
-            num_field(field, "p99"),
-            num_field(field, "n"),
-        ) {
-            out.push(HistField {
-                name: block[key_start..key_end].to_string(),
-                p50,
-                p90,
-                p99,
-                n: n as u64,
-            });
-        }
-        i = fe;
-    }
-    out
+/// A row's nested `histograms` object as per-field quantile summaries, in
+/// the order the block lists them. Histograms are advisory, so a missing
+/// block or a malformed field yields no columns, unlike the row's own
+/// scalar fields whose absence is a parse error.
+fn parse_histograms(row: &Value) -> Vec<HistField> {
+    let fields = row.get("histograms").and_then(Value::as_object);
+    fields
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|(name, f)| {
+            Some(HistField {
+                name: name.clone(),
+                p50: f.get("p50")?.as_f64()?,
+                p90: f.get("p90")?.as_f64()?,
+                p99: f.get("p99")?.as_f64()?,
+                n: f.get("n")?.as_u64()?,
+            })
+        })
+        .collect()
 }
 
 /// Parse the `rows` array of a `bench_backends --json` document.
 fn parse_rows(doc: &str) -> Result<Vec<CmpRow>, String> {
-    let rows_at = doc.find("\"rows\"").ok_or("no \"rows\" key")?;
-    let open = doc[rows_at..].find('[').ok_or("no rows array")? + rows_at;
-    let bytes = doc.as_bytes();
-    let mut rows = Vec::new();
-    let mut i = open + 1;
-    loop {
-        while i < bytes.len() && bytes[i] != b'{' && bytes[i] != b']' {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err("unterminated rows array".to_string());
-        }
-        if bytes[i] == b']' {
-            break;
-        }
-        let (start, end) = balanced_object(doc, i)?;
-        let obj = &doc[start..end];
-        rows.push(CmpRow {
-            backend: str_field(obj, "backend")?,
-            topology: str_field(obj, "topology")?,
-            n: num_field(obj, "n")? as u64,
-            mode: str_field(obj, "mode")?,
-            scheduled_per_s: num_field(obj, "scheduled_per_s")?,
-            effective_per_s: num_field(obj, "effective_per_s")?,
-            histograms: parse_histograms(obj),
-            telemetry: parse_telemetry(obj),
-        });
-        i = end;
-    }
-    Ok(rows)
+    let doc = json::parse(doc).map_err(|e| e.to_string())?;
+    let rows = doc
+        .get("rows")
+        .and_then(Value::as_array)
+        .ok_or("no \"rows\" array")?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let missing =
+                |kind: &str, key: &str| format!("missing {kind} field '{key}' in row {i}");
+            let text = |key| {
+                let v = row.get(key).and_then(Value::as_str);
+                v.map(str::to_string).ok_or_else(|| missing("string", key))
+            };
+            let num = |key| {
+                let v = row.get(key).and_then(Value::as_f64);
+                v.ok_or_else(|| missing("numeric", key))
+            };
+            let n = row.get("n").and_then(Value::as_u64);
+            Ok(CmpRow {
+                backend: text("backend")?,
+                topology: text("topology")?,
+                n: n.ok_or_else(|| missing("integer", "n"))?,
+                mode: text("mode")?,
+                scheduled_per_s: num("scheduled_per_s")?,
+                effective_per_s: num("effective_per_s")?,
+                histograms: parse_histograms(row),
+                telemetry: parse_telemetry(row),
+            })
+        })
+        .collect()
 }
 
 /// `--assert-telemetry` check: every row must carry a telemetry block
@@ -295,84 +204,85 @@ fn missing_telemetry(rows: &[CmpRow]) -> Vec<String> {
         .collect()
 }
 
-/// Schema keys every flight-recorder JSONL record must carry, in the
-/// order `TimelineSample::to_json` emits them.
+/// The keys of every flight-recorder JSONL record, in the order
+/// `TimelineSample::to_json` emits them. Spelled out here rather than taken
+/// from the writer: this list is the schema the writer is checked against.
 const TIMELINE_KEYS: [&str; 15] = [
-    "\"sample\":",
-    "\"scheduled\":",
-    "\"effective\":",
-    "\"phase\":\"",
-    "\"d_scheduled\":",
-    "\"d_effective\":",
-    "\"d_dense_steps\":",
-    "\"d_blocks\":",
-    "\"d_block_applied\":",
-    "\"d_fallback_literal\":",
-    "\"d_sparse_enters\":",
-    "\"d_sparse_exits\":",
-    "\"d_sparse_events\":",
-    "\"d_sparse_flushes\":",
-    "\"rates\":{\"effective_fraction\":",
+    "sample",
+    "scheduled",
+    "effective",
+    "phase",
+    "d_scheduled",
+    "d_effective",
+    "d_dense_steps",
+    "d_blocks",
+    "d_block_applied",
+    "d_fallback_literal",
+    "d_sparse_enters",
+    "d_sparse_exits",
+    "d_sparse_events",
+    "d_sparse_flushes",
+    "rates",
 ];
 
+/// The keys of a record's `rates` object, in emission order.
+const TIMELINE_RATE_KEYS: [&str; 3] = ["effective_fraction", "cancel_rate", "fallback_rate"];
+
+/// The first difference between an object's keys and the expected list.
+fn key_mismatch(obj: &Value, expected: &[&str]) -> Option<String> {
+    let keys: Vec<&str> = obj.keys().collect();
+    let i = (0..=expected.len()).find(|&i| keys.get(i) != expected.get(i))?;
+    Some(match expected.get(i) {
+        Some(key) => format!("missing or out-of-order key \"{key}\""),
+        None => format!("unexpected key \"{}\"", keys[i]),
+    })
+}
+
 /// `--assert-timeline` check over one flight-recorder JSONL document:
-/// every line is a `{...}` record carrying the full schema key set in
+/// every line is a JSON object whose keys are exactly the schema keys in
 /// emission order, `sample` counts up from 0, and the cumulative
 /// `scheduled`/`effective` clocks never go backwards. Ok carries the
 /// sample count; Err lists every violation found (all lines are checked
 /// so one bad record does not mask the rest).
 fn assert_timeline(doc: &str) -> Result<usize, Vec<String>> {
     let mut problems = Vec::new();
-    let mut count = 0usize;
-    let (mut last_scheduled, mut last_effective) = (0.0f64, 0.0f64);
+    let mut count = 0u64;
+    let mut last_clocks = [0.0f64; 2];
     for (lineno, line) in doc.lines().enumerate() {
         let ln = lineno + 1;
-        let index = count as f64;
+        let index = count;
         count += 1;
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            problems.push(format!("line {ln}: not a one-line JSON record"));
-            continue;
-        }
-        // Keys must appear in emission order: each search resumes where
-        // the previous key matched, so a reordered schema fails even if
-        // every key is present somewhere in the line.
-        let mut at = 0usize;
-        let mut ordered = true;
-        for key in TIMELINE_KEYS {
-            match line[at..].find(key) {
-                Some(rel) => at += rel + key.len(),
-                None => {
-                    problems.push(format!("line {ln}: missing or out-of-order key {key}"));
-                    ordered = false;
-                    break;
-                }
+        let record = match json::parse(line) {
+            Ok(v) if v.as_object().is_some() => v,
+            _ => {
+                problems.push(format!("line {ln}: not a one-line JSON record"));
+                continue;
             }
-        }
-        if !ordered {
+        };
+        let rates = record.get("rates").unwrap_or(&Value::Null);
+        let mismatch = key_mismatch(&record, &TIMELINE_KEYS)
+            .or_else(|| key_mismatch(rates, &TIMELINE_RATE_KEYS).map(|m| format!("rates: {m}")));
+        if let Some(m) = mismatch {
+            problems.push(format!("line {ln}: {m}"));
             continue;
         }
-        match num_field(line, "sample") {
-            Ok(s) if s == index => {}
-            Ok(s) => problems.push(format!("line {ln}: sample index {s} (expected {index})")),
-            Err(e) => problems.push(format!("line {ln}: {e}")),
+        match record.get("sample").and_then(Value::as_u64) {
+            Some(s) if s == index => {}
+            Some(s) => problems.push(format!("line {ln}: sample index {s} (expected {index})")),
+            None => problems.push(format!("line {ln}: sample is not an integer")),
         }
-        let scheduled = num_field(line, "scheduled").unwrap_or(-1.0);
-        let effective = num_field(line, "effective").unwrap_or(-1.0);
-        if scheduled < last_scheduled {
-            problems.push(format!(
-                "line {ln}: scheduled clock went backwards ({last_scheduled} -> {scheduled})"
-            ));
+        for (key, last) in ["scheduled", "effective"].into_iter().zip(&mut last_clocks) {
+            let clock = record.get(key).and_then(Value::as_f64).unwrap_or(-1.0);
+            if clock < *last {
+                problems.push(format!(
+                    "line {ln}: {key} clock went backwards ({last} -> {clock})"
+                ));
+            }
+            *last = clock;
         }
-        if effective < last_effective {
-            problems.push(format!(
-                "line {ln}: effective clock went backwards ({last_effective} -> {effective})"
-            ));
-        }
-        last_scheduled = scheduled;
-        last_effective = effective;
     }
     if problems.is_empty() {
-        Ok(count)
+        Ok(count as usize)
     } else {
         Err(problems)
     }
@@ -1029,6 +939,34 @@ mod tests {
     }
 
     #[test]
+    fn row_fields_are_found_by_key_not_by_position() {
+        // A valid row whose histograms object comes before the row's own
+        // "n": the nested event count (7) must not be read as the row's n.
+        let doc = "{\"rows\": [{\"backend\":\"batch\",\"topology\":\"clique\",\
+                   \"histograms\":{\"skip_len\":{\"p50\":2,\"p90\":4,\"p99\":8,\"n\":7}},\
+                   \"n\":1000,\"mode\":\"stabilize\",\
+                   \"scheduled_per_s\":2.0,\"effective_per_s\":1.0}]}";
+        let rows = parse_rows(doc).unwrap();
+        assert_eq!(rows[0].n, 1_000);
+        assert_eq!(rows[0].histograms[0].n, 7);
+        assert_eq!(rows[0].effective_per_s, 1.0);
+    }
+
+    #[test]
+    fn the_committed_baseline_parses() {
+        let rows = parse_rows(include_str!("../../../../BENCH_backends.json")).unwrap();
+        assert_eq!(rows.len(), 20);
+        assert_eq!(rows.iter().filter(|r| r.mode == "stabilize").count(), 17);
+        let batch = rows
+            .iter()
+            .find(|r| r.backend == "batch" && r.topology == "clique" && r.n == 1_000_000)
+            .expect("the batch clique row");
+        assert_eq!(batch.effective_per_s, 84_165_793.0);
+        assert!(rows.iter().all(|r| r.histograms.len() == 6));
+        assert!(missing_telemetry(&rows).is_empty());
+    }
+
+    #[test]
     fn histogram_markdown_trends_against_baseline_and_skips_empty() {
         let spec: &[(&str, &str, u64, &str, f64)] =
             &[("batch", "clique", 1_000_000, "stabilize", 5.0e6)];
@@ -1109,6 +1047,23 @@ mod tests {
         // Junk lines are reported with their line number.
         let doc = format!("{good}\nnot json\n");
         assert!(assert_timeline(&doc).unwrap_err()[0].contains("line 2"));
+    }
+
+    #[test]
+    fn assert_timeline_checks_the_rates_keys_and_rejects_extra_keys() {
+        let good = "{\"sample\":0,\"scheduled\":10,\"effective\":5,\"phase\":\"dense\",\
+             \"d_scheduled\":10,\"d_effective\":5,\"d_dense_steps\":1,\"d_blocks\":0,\
+             \"d_block_applied\":0,\"d_fallback_literal\":0,\"d_sparse_enters\":0,\
+             \"d_sparse_exits\":0,\"d_sparse_events\":0,\"d_sparse_flushes\":0,\
+             \"rates\":{\"effective_fraction\":0.5,\"cancel_rate\":0.0,\"fallback_rate\":0.0}}";
+        assert_eq!(assert_timeline(good), Ok(1));
+        let no_cancel = good.replace("\"cancel_rate\":0.0,", "");
+        let problems = assert_timeline(&no_cancel).unwrap_err();
+        assert!(problems[0].contains("rates: missing or out-of-order key \"cancel_rate\""));
+        let extra = good.replace("\"rates\":", "\"extra\":1,\"rates\":");
+        assert!(assert_timeline(&extra).unwrap_err()[0].contains("key \"rates\""));
+        let trailing = good.replace("}}", "},\"late\":1}");
+        assert!(assert_timeline(&trailing).unwrap_err()[0].contains("unexpected key \"late\""));
     }
 
     #[test]

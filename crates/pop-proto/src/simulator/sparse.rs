@@ -77,7 +77,7 @@
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::sampling::FenwickSampler;
 use crate::telemetry::timeline::EventHistograms;
-use crate::telemetry::SparseStats;
+use crate::telemetry::{CounterTable, SparseStats};
 use sim_stats::rng::SimRng;
 
 /// Consecutive no-op draws in the dense/block phase that trigger the switch
@@ -902,22 +902,7 @@ impl SparseSkipper {
         w.put_u64(self.win_cancelled);
         w.put_u64(self.block_noops);
         w.put_u32(self.block_events);
-        for v in [
-            self.stats.events,
-            self.stats.skip_draws,
-            self.stats.event_draws,
-            self.stats.flushes,
-            self.stats.updates_deferred,
-            self.stats.updates_immediate,
-            self.stats.entries_applied,
-            self.stats.entries_cancelled,
-            self.stats.log_cache_hits,
-            self.stats.log_cache_misses,
-            self.stats.bypass_enters,
-            self.stats.bypass_exits,
-        ] {
-            w.put_u64(v);
-        }
+        self.stats.write_counters(w);
         w.put_u64(self.pending.len() as u64);
         for p in &self.pending {
             w.put_u32(p.edge);
@@ -959,23 +944,7 @@ impl SparseSkipper {
         let win_cancelled = r.get_u64()?;
         let block_noops = r.get_u64()?;
         let block_events = r.get_u32()?;
-        let mut stats = SparseStats::new();
-        for slot in [
-            &mut stats.events,
-            &mut stats.skip_draws,
-            &mut stats.event_draws,
-            &mut stats.flushes,
-            &mut stats.updates_deferred,
-            &mut stats.updates_immediate,
-            &mut stats.entries_applied,
-            &mut stats.entries_cancelled,
-            &mut stats.log_cache_hits,
-            &mut stats.log_cache_misses,
-            &mut stats.bypass_enters,
-            &mut stats.bypass_exits,
-        ] {
-            *slot = r.get_u64()?;
-        }
+        let stats = SparseStats::read_counters(r)?;
         let count = r.get_u64()? as usize;
         let mut pending = Vec::new();
         let mut pending_idx = vec![u32::MAX; truth.len()];

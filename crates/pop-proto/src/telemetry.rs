@@ -48,6 +48,75 @@
 pub mod timeline;
 
 use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
+use sim_stats::json::ObjectWriter;
+use std::sync::OnceLock;
+
+/// A telemetry struct's counters, listed once in snapshot and JSON order as
+/// `(JSON name, counter)` pairs. `absorb`, `delta`, the checkpoint body and
+/// `to_json` all iterate this table, so a counter added to it reaches every
+/// surface.
+pub(crate) trait CounterTable<const N: usize>: Copy + Default {
+    /// The counters in schema order.
+    fn counters(&mut self) -> [(&'static str, &mut u64); N];
+
+    /// The counter values in schema order.
+    fn values(&self) -> [(&'static str, u64); N] {
+        let mut copy = *self;
+        copy.counters().map(|(name, v)| (name, *v))
+    }
+
+    /// Apply `op(mine, theirs)` to each pair of matching counters.
+    fn combine(&mut self, other: &Self, op: impl Fn(&mut u64, u64)) {
+        for ((_, mine), (_, theirs)) in self.counters().into_iter().zip(other.values()) {
+            op(mine, theirs);
+        }
+    }
+
+    /// Append the counters to a checkpoint body.
+    fn write_counters(&self, w: &mut SnapshotWriter) {
+        for (_, v) in self.values() {
+            w.put_u64(v);
+        }
+    }
+
+    /// Read counters written by [`CounterTable::write_counters`] (every
+    /// other field keeps its default).
+    fn read_counters(r: &mut SnapshotReader<'_>) -> Result<Self, CheckpointError> {
+        let mut out = Self::default();
+        for (_, slot) in out.counters() {
+            *slot = r.get_u64()?;
+        }
+        Ok(out)
+    }
+
+    /// Write the counters as integer fields of an open JSON object.
+    fn json_counters(&self, o: &mut ObjectWriter) {
+        for (name, v) in self.values() {
+            o.u64(name, v);
+        }
+    }
+}
+
+/// Implement [`CounterTable`] over the listed fields, in schema order; each
+/// counter's JSON name is its field name.
+macro_rules! counter_table {
+    ($ty:ty, $n:literal: $($field:ident),+) => {
+        impl CounterTable<$n> for $ty {
+            fn counters(&mut self) -> [(&'static str, &mut u64); $n] {
+                [$((stringify!($field), &mut self.$field)),+]
+            }
+        }
+    };
+}
+
+counter_table!(SparseStats, 12: events, skip_draws, event_draws, flushes, updates_deferred,
+    updates_immediate, entries_applied, entries_cancelled, log_cache_hits, log_cache_misses,
+    bypass_enters, bypass_exits);
+counter_table!(SpanSet, 4: dense_ns, sparse_ns, gather_ns, apply_ns);
+// The twelve engine-level counters; `sparse` and `spans` have their own.
+counter_table!(EngineTelemetry, 12: scheduled, effective, dense_steps, blocks, block_draws,
+    block_applied, fallback_literal, sparse_enters, sparse_exits, pair_draws, skip_draws,
+    table_draws);
 
 /// Counters owned by the shared sparse-phase skipper
 /// (`pop_proto::simulator::sparse`), harvested into
@@ -84,39 +153,15 @@ pub struct SparseStats {
 }
 
 impl SparseStats {
-    /// All-zero stats (`const`, for static defaults).
-    pub const fn new() -> Self {
-        SparseStats {
-            events: 0,
-            skip_draws: 0,
-            event_draws: 0,
-            flushes: 0,
-            updates_deferred: 0,
-            updates_immediate: 0,
-            entries_applied: 0,
-            entries_cancelled: 0,
-            log_cache_hits: 0,
-            log_cache_misses: 0,
-            bypass_enters: 0,
-            bypass_exits: 0,
-        }
+    /// All-zero stats.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Accumulate another batch of stats (used when harvesting the
     /// skipper's zeroed-on-take counters into the engine's totals).
     pub fn absorb(&mut self, other: SparseStats) {
-        self.events += other.events;
-        self.skip_draws += other.skip_draws;
-        self.event_draws += other.event_draws;
-        self.flushes += other.flushes;
-        self.updates_deferred += other.updates_deferred;
-        self.updates_immediate += other.updates_immediate;
-        self.entries_applied += other.entries_applied;
-        self.entries_cancelled += other.entries_cancelled;
-        self.log_cache_hits += other.log_cache_hits;
-        self.log_cache_misses += other.log_cache_misses;
-        self.bypass_enters += other.bypass_enters;
-        self.bypass_exits += other.bypass_exits;
+        self.combine(&other, |mine, theirs| *mine += theirs);
     }
 
     /// Fraction of flush-resolved sidecar entries that had toggled back
@@ -148,14 +193,9 @@ pub struct SpanSet {
 }
 
 impl SpanSet {
-    /// All-zero spans (`const`, for static defaults).
-    pub const fn new() -> Self {
-        SpanSet {
-            dense_ns: 0,
-            sparse_ns: 0,
-            gather_ns: 0,
-            apply_ns: 0,
-        }
+    /// All-zero spans.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -262,36 +302,18 @@ pub struct EngineTelemetry {
     pub clock: SpanClock,
 }
 
-/// The shared all-zero telemetry returned by the default
-/// [`Simulator::telemetry`](crate::Simulator::telemetry) for engines that
-/// predate (or opt out of) instrumentation.
-static DISABLED: EngineTelemetry = EngineTelemetry::new();
-
 impl EngineTelemetry {
-    /// All-zero counters with a disabled clock (`const`).
-    pub const fn new() -> Self {
-        EngineTelemetry {
-            scheduled: 0,
-            effective: 0,
-            dense_steps: 0,
-            blocks: 0,
-            block_draws: 0,
-            block_applied: 0,
-            fallback_literal: 0,
-            sparse_enters: 0,
-            sparse_exits: 0,
-            pair_draws: 0,
-            skip_draws: 0,
-            table_draws: 0,
-            sparse: SparseStats::new(),
-            spans: SpanSet::new(),
-            clock: SpanClock::new(),
-        }
+    /// All-zero counters with a disabled clock.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// The static all-zero instance (default trait implementation).
+    /// The shared all-zero instance the default
+    /// [`Simulator::telemetry`](crate::Simulator::telemetry) returns for
+    /// engines that predate (or opt out of) instrumentation.
     pub fn disabled() -> &'static EngineTelemetry {
-        &DISABLED
+        static DISABLED: OnceLock<EngineTelemetry> = OnceLock::new();
+        DISABLED.get_or_init(EngineTelemetry::new)
     }
 
     /// Counter-wise difference `self − earlier` over every monotone
@@ -302,35 +324,11 @@ impl EngineTelemetry {
     /// ([`timeline::TimelineRecorder`]) samples: rates computed on a
     /// delta describe *that window*, not the run so far.
     pub fn delta(&self, earlier: &EngineTelemetry) -> EngineTelemetry {
+        let sub = |mine: &mut u64, theirs: u64| *mine -= theirs;
         let mut out = *self;
-        out.scheduled -= earlier.scheduled;
-        out.effective -= earlier.effective;
-        out.dense_steps -= earlier.dense_steps;
-        out.blocks -= earlier.blocks;
-        out.block_draws -= earlier.block_draws;
-        out.block_applied -= earlier.block_applied;
-        out.fallback_literal -= earlier.fallback_literal;
-        out.sparse_enters -= earlier.sparse_enters;
-        out.sparse_exits -= earlier.sparse_exits;
-        out.pair_draws -= earlier.pair_draws;
-        out.skip_draws -= earlier.skip_draws;
-        out.table_draws -= earlier.table_draws;
-        out.sparse.events -= earlier.sparse.events;
-        out.sparse.skip_draws -= earlier.sparse.skip_draws;
-        out.sparse.event_draws -= earlier.sparse.event_draws;
-        out.sparse.flushes -= earlier.sparse.flushes;
-        out.sparse.updates_deferred -= earlier.sparse.updates_deferred;
-        out.sparse.updates_immediate -= earlier.sparse.updates_immediate;
-        out.sparse.entries_applied -= earlier.sparse.entries_applied;
-        out.sparse.entries_cancelled -= earlier.sparse.entries_cancelled;
-        out.sparse.log_cache_hits -= earlier.sparse.log_cache_hits;
-        out.sparse.log_cache_misses -= earlier.sparse.log_cache_misses;
-        out.sparse.bypass_enters -= earlier.sparse.bypass_enters;
-        out.sparse.bypass_exits -= earlier.sparse.bypass_exits;
-        out.spans.dense_ns -= earlier.spans.dense_ns;
-        out.spans.sparse_ns -= earlier.spans.sparse_ns;
-        out.spans.gather_ns -= earlier.spans.gather_ns;
-        out.spans.apply_ns -= earlier.spans.apply_ns;
+        out.combine(earlier, sub);
+        out.sparse.combine(&earlier.sparse, sub);
+        out.spans.combine(&earlier.spans, sub);
         out
     }
 
@@ -365,77 +363,18 @@ impl EngineTelemetry {
     /// clock switch into a checkpoint body (fixed field order; the inverse
     /// of [`EngineTelemetry::read_snapshot`]).
     pub fn write_snapshot(&self, w: &mut SnapshotWriter) {
-        for v in [
-            self.scheduled,
-            self.effective,
-            self.dense_steps,
-            self.blocks,
-            self.block_draws,
-            self.block_applied,
-            self.fallback_literal,
-            self.sparse_enters,
-            self.sparse_exits,
-            self.pair_draws,
-            self.skip_draws,
-            self.table_draws,
-            self.sparse.events,
-            self.sparse.skip_draws,
-            self.sparse.event_draws,
-            self.sparse.flushes,
-            self.sparse.updates_deferred,
-            self.sparse.updates_immediate,
-            self.sparse.entries_applied,
-            self.sparse.entries_cancelled,
-            self.sparse.log_cache_hits,
-            self.sparse.log_cache_misses,
-            self.sparse.bypass_enters,
-            self.sparse.bypass_exits,
-            self.spans.dense_ns,
-            self.spans.sparse_ns,
-            self.spans.gather_ns,
-            self.spans.apply_ns,
-        ] {
-            w.put_u64(v);
-        }
+        self.write_counters(w);
+        self.sparse.write_counters(w);
+        self.spans.write_counters(w);
         w.put_bool(self.clock.enabled);
     }
 
     /// Deserialize a telemetry block written by
     /// [`EngineTelemetry::write_snapshot`].
     pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<EngineTelemetry, CheckpointError> {
-        let mut t = EngineTelemetry::new();
-        for slot in [
-            &mut t.scheduled,
-            &mut t.effective,
-            &mut t.dense_steps,
-            &mut t.blocks,
-            &mut t.block_draws,
-            &mut t.block_applied,
-            &mut t.fallback_literal,
-            &mut t.sparse_enters,
-            &mut t.sparse_exits,
-            &mut t.pair_draws,
-            &mut t.skip_draws,
-            &mut t.table_draws,
-            &mut t.sparse.events,
-            &mut t.sparse.skip_draws,
-            &mut t.sparse.event_draws,
-            &mut t.sparse.flushes,
-            &mut t.sparse.updates_deferred,
-            &mut t.sparse.updates_immediate,
-            &mut t.sparse.entries_applied,
-            &mut t.sparse.entries_cancelled,
-            &mut t.sparse.log_cache_hits,
-            &mut t.sparse.log_cache_misses,
-            &mut t.sparse.bypass_enters,
-            &mut t.sparse.bypass_exits,
-            &mut t.spans.dense_ns,
-            &mut t.spans.sparse_ns,
-            &mut t.spans.gather_ns,
-            &mut t.spans.apply_ns,
-        ] {
-            *slot = r.get_u64()?;
-        }
+        let mut t = EngineTelemetry::read_counters(r)?;
+        t.sparse = SparseStats::read_counters(r)?;
+        t.spans = SpanSet::read_counters(r)?;
         t.clock.enabled = r.get_bool()?;
         Ok(t)
     }
@@ -444,52 +383,26 @@ impl EngineTelemetry {
     /// `sparse` and `spans`, then the derived `rates`). The run-report
     /// surface of the CLI, `topology_sweep`, and `bench_backends`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"scheduled\":{},\"effective\":{},\"dense_steps\":{},\
-             \"blocks\":{},\"block_draws\":{},\"block_applied\":{},\
-             \"fallback_literal\":{},\"sparse_enters\":{},\"sparse_exits\":{},\
-             \"pair_draws\":{},\"skip_draws\":{},\"table_draws\":{},\
-             \"sparse\":{{\"events\":{},\"skip_draws\":{},\"event_draws\":{},\
-             \"flushes\":{},\"updates_deferred\":{},\"updates_immediate\":{},\
-             \"entries_applied\":{},\"entries_cancelled\":{},\
-             \"log_cache_hits\":{},\"log_cache_misses\":{},\
-             \"bypass_enters\":{},\"bypass_exits\":{}}},\
-             \"spans\":{{\"dense_ns\":{},\"sparse_ns\":{},\"gather_ns\":{},\
-             \"apply_ns\":{}}},\
-             \"rates\":{{\"effective_fraction\":{:.6},\"cancel_rate\":{:.6},\
-             \"fallback_rate\":{:.6}}}}}",
-            self.scheduled,
-            self.effective,
-            self.dense_steps,
-            self.blocks,
-            self.block_draws,
-            self.block_applied,
-            self.fallback_literal,
-            self.sparse_enters,
-            self.sparse_exits,
-            self.pair_draws,
-            self.skip_draws,
-            self.table_draws,
-            self.sparse.events,
-            self.sparse.skip_draws,
-            self.sparse.event_draws,
-            self.sparse.flushes,
-            self.sparse.updates_deferred,
-            self.sparse.updates_immediate,
-            self.sparse.entries_applied,
-            self.sparse.entries_cancelled,
-            self.sparse.log_cache_hits,
-            self.sparse.log_cache_misses,
-            self.sparse.bypass_enters,
-            self.sparse.bypass_exits,
-            self.spans.dense_ns,
-            self.spans.sparse_ns,
-            self.spans.gather_ns,
-            self.spans.apply_ns,
-            self.effective_fraction(),
-            self.cancel_rate(),
-            self.fallback_rate(),
-        )
+        let mut o = ObjectWriter::new();
+        self.write_json(&mut o);
+        o.finish()
+    }
+
+    /// Write the fields of [`EngineTelemetry::to_json`] into an open
+    /// object (how reports nest the telemetry under a key).
+    pub fn write_json(&self, o: &mut ObjectWriter) {
+        self.json_counters(o);
+        o.object("sparse", |o| self.sparse.json_counters(o))
+            .object("spans", |o| self.spans.json_counters(o))
+            .object("rates", |o| self.write_rates(o));
+    }
+
+    /// The derived rates as fixed-precision fields: the `rates` object of
+    /// the run report and of every timeline sample.
+    pub(crate) fn write_rates(&self, o: &mut ObjectWriter) {
+        o.f64("effective_fraction", self.effective_fraction(), 6)
+            .f64("cancel_rate", self.cancel_rate(), 6)
+            .f64("fallback_rate", self.fallback_rate(), 6);
     }
 
     /// Human-readable aligned table (the CLI's `--telemetry` /
@@ -595,8 +508,8 @@ mod tests {
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }
-        // Balanced braces: the object must nest cleanly for downstream
-        // hand-rolled parsers.
+        // Balanced braces: the object must nest cleanly for the
+        // `sim_stats::json` reader.
         let mut depth = 0i32;
         for c in j.chars() {
             match c {
@@ -660,6 +573,94 @@ mod tests {
     #[test]
     fn json_bytes_are_pinned() {
         assert_eq!(distinct_telemetry().to_json(), PINNED_TELEMETRY_JSON);
+    }
+
+    #[test]
+    fn pinned_json_parses_with_the_documented_keys_in_order() {
+        let v = sim_stats::json::parse(PINNED_TELEMETRY_JSON).unwrap();
+        let keys = |v: &sim_stats::json::Value| v.keys().map(str::to_string).collect::<Vec<_>>();
+        assert_eq!(
+            keys(&v),
+            [
+                "scheduled",
+                "effective",
+                "dense_steps",
+                "blocks",
+                "block_draws",
+                "block_applied",
+                "fallback_literal",
+                "sparse_enters",
+                "sparse_exits",
+                "pair_draws",
+                "skip_draws",
+                "table_draws",
+                "sparse",
+                "spans",
+                "rates",
+            ]
+        );
+        assert_eq!(
+            keys(v.get("sparse").unwrap()),
+            [
+                "events",
+                "skip_draws",
+                "event_draws",
+                "flushes",
+                "updates_deferred",
+                "updates_immediate",
+                "entries_applied",
+                "entries_cancelled",
+                "log_cache_hits",
+                "log_cache_misses",
+                "bypass_enters",
+                "bypass_exits",
+            ]
+        );
+        assert_eq!(
+            keys(v.get("spans").unwrap()),
+            ["dense_ns", "sparse_ns", "gather_ns", "apply_ns"]
+        );
+        assert_eq!(
+            keys(v.get("rates").unwrap()),
+            ["effective_fraction", "cancel_rate", "fallback_rate"]
+        );
+        // Every counter is distinct, so each value locates its own field.
+        assert_eq!(v.get("table_draws").unwrap().as_u64(), Some(12));
+        assert_eq!(
+            v.get("sparse")
+                .unwrap()
+                .get("bypass_exits")
+                .unwrap()
+                .as_u64(),
+            Some(24)
+        );
+    }
+
+    #[test]
+    fn snapshot_round_trips_every_counter() {
+        let t = distinct_telemetry();
+        let mut w = SnapshotWriter::new();
+        t.write_snapshot(&mut w);
+        let bytes = w.into_bytes();
+        // The 28 counters in snapshot order, then the clock switch.
+        let words: Vec<u64> = bytes[..28 * 8]
+            .chunks(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(
+            words,
+            [
+                3_000, 1_000, 3, 4, 5, 140, 20, 8, 7, 10, 11, 12, 13, 14, 15, 16, 17, 18, 90, 10,
+                21, 22, 23, 24, 25, 26, 27, 28
+            ]
+        );
+        assert_eq!(bytes[28 * 8..], [0]);
+        let mut r = SnapshotReader::new(&bytes);
+        assert_eq!(EngineTelemetry::read_snapshot(&mut r).unwrap(), t);
+        let mut sum = t.sparse;
+        sum.absorb(t.sparse);
+        assert_eq!(sum.bypass_exits, 48);
+        assert_eq!(t.delta(&t), EngineTelemetry::new());
     }
 
     #[test]

@@ -40,8 +40,8 @@ use crate::checkpoint::{CheckpointError, SnapshotReader, SnapshotWriter};
 use crate::simulator::Simulator;
 use crate::telemetry::EngineTelemetry;
 use sim_stats::histogram::LogHistogram;
+use sim_stats::json::ObjectWriter;
 use sim_stats::timeseries::{Series, TimeSeries};
-use std::fmt::Write as _;
 
 /// Logarithmic base of every event histogram (powers of two).
 pub const EVENT_HISTOGRAM_BASE: f64 = 2.0;
@@ -186,22 +186,24 @@ impl EventHistograms {
     /// lower edges (exact powers of two), so they print as integers and
     /// diff cleanly across runs.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, h)) in self.fields().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"n\":{}}}",
-                h.p50(),
-                h.p90(),
-                h.p99(),
-                h.total()
-            );
+        let mut o = ObjectWriter::new();
+        self.write_json(&mut o);
+        o.finish()
+    }
+
+    /// Write the fields of [`EventHistograms::to_json`] into an open
+    /// object (how reports nest the histograms under a key).
+    pub fn write_json(&self, o: &mut ObjectWriter) {
+        for (name, h) in self.fields() {
+            o.object(name, |o| {
+                // Bin lower edges are 0 or powers of two up to 2^47: exact
+                // integers.
+                o.u64("p50", h.p50() as u64)
+                    .u64("p90", h.p90() as u64)
+                    .u64("p99", h.p99() as u64)
+                    .u64("n", h.total());
+            });
         }
-        out.push('}');
-        out
     }
 }
 
@@ -244,33 +246,23 @@ impl TimelineSample {
     /// clocks, phase, windowed counter deltas, then the window's rates).
     pub fn to_json(&self) -> String {
         let d = &self.delta;
-        format!(
-            "{{\"sample\":{},\"scheduled\":{},\"effective\":{},\
-             \"phase\":\"{}\",\"d_scheduled\":{},\"d_effective\":{},\
-             \"d_dense_steps\":{},\"d_blocks\":{},\"d_block_applied\":{},\
-             \"d_fallback_literal\":{},\"d_sparse_enters\":{},\
-             \"d_sparse_exits\":{},\"d_sparse_events\":{},\
-             \"d_sparse_flushes\":{},\
-             \"rates\":{{\"effective_fraction\":{:.6},\"cancel_rate\":{:.6},\
-             \"fallback_rate\":{:.6}}}}}",
-            self.index,
-            self.scheduled,
-            self.effective,
-            self.phase,
-            d.scheduled,
-            d.effective,
-            d.dense_steps,
-            d.blocks,
-            d.block_applied,
-            d.fallback_literal,
-            d.sparse_enters,
-            d.sparse_exits,
-            d.sparse.events,
-            d.sparse.flushes,
-            d.effective_fraction(),
-            d.cancel_rate(),
-            d.fallback_rate(),
-        )
+        let mut o = ObjectWriter::new();
+        o.u64("sample", self.index)
+            .u64("scheduled", self.scheduled)
+            .u64("effective", self.effective)
+            .str("phase", self.phase)
+            .u64("d_scheduled", d.scheduled)
+            .u64("d_effective", d.effective)
+            .u64("d_dense_steps", d.dense_steps)
+            .u64("d_blocks", d.blocks)
+            .u64("d_block_applied", d.block_applied)
+            .u64("d_fallback_literal", d.fallback_literal)
+            .u64("d_sparse_enters", d.sparse_enters)
+            .u64("d_sparse_exits", d.sparse_exits)
+            .u64("d_sparse_events", d.sparse.events)
+            .u64("d_sparse_flushes", d.sparse.flushes)
+            .object("rates", |o| d.write_rates(o));
+        o.finish()
     }
 }
 
@@ -447,12 +439,7 @@ impl TimelineRecorder {
     /// Render as JSONL: one schema-stable record per sample, each on its
     /// own line (see [`TimelineSample::to_json`]), trailing newline.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.samples {
-            out.push_str(&s.to_json());
-            out.push('\n');
-        }
-        out
+        self.samples.iter().map(|s| s.to_json() + "\n").collect()
     }
 
     /// Convert to a [`TimeSeries`] over parallel time (`scheduled / n`):
@@ -703,6 +690,55 @@ mod tests {
     fn json_bytes_are_pinned() {
         assert_eq!(distinct_histograms().to_json(), PINNED_HISTOGRAMS_JSON);
         assert_eq!(pinned_sample().to_json(), PINNED_SAMPLE_JSON);
+    }
+
+    #[test]
+    fn pinned_json_parses_with_the_documented_keys_in_order() {
+        use sim_stats::json::{parse, Value};
+        let keys = |v: &Value| v.keys().map(str::to_string).collect::<Vec<_>>();
+        let h = parse(PINNED_HISTOGRAMS_JSON).unwrap();
+        assert_eq!(
+            keys(&h),
+            [
+                "skip_len",
+                "block_total",
+                "block_size",
+                "flush_size",
+                "flush_occupancy",
+                "fallback_run"
+            ]
+        );
+        for (_, field) in h.as_object().unwrap() {
+            assert_eq!(keys(field), ["p50", "p90", "p99", "n"]);
+        }
+        let fallback = h.get("fallback_run").unwrap();
+        assert_eq!(fallback.get("p99").and_then(Value::as_u64), Some(524_288));
+        let s = parse(PINNED_SAMPLE_JSON).unwrap();
+        assert_eq!(
+            keys(&s),
+            [
+                "sample",
+                "scheduled",
+                "effective",
+                "phase",
+                "d_scheduled",
+                "d_effective",
+                "d_dense_steps",
+                "d_blocks",
+                "d_block_applied",
+                "d_fallback_literal",
+                "d_sparse_enters",
+                "d_sparse_exits",
+                "d_sparse_events",
+                "d_sparse_flushes",
+                "rates"
+            ]
+        );
+        assert_eq!(
+            keys(s.get("rates").unwrap()),
+            ["effective_fraction", "cancel_rate", "fallback_rate"]
+        );
+        assert_eq!(s.get("phase").and_then(Value::as_str), Some("sparse"));
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   of the batch-leaping simulator;
 //! * [`timeseries`] — trajectory containers with downsampling;
 //! * [`plot`] — ASCII line charts for terminal experiment output;
-//! * [`tables`] — plain-text table formatting for experiment reports.
+//! * [`tables`] — plain-text table formatting for experiment reports;
+//! * [`json`] — the one JSON reader and writer behind run reports,
+//!   flight-recorder JSONL and benchmark rows.
 //!
 //! All functionality is dependency-light and deterministic under a fixed
 //! seed, which the test suites across the workspace rely on.
@@ -35,6 +37,7 @@
 
 pub mod binomial;
 pub mod histogram;
+pub mod json;
 pub mod ks;
 pub mod multinomial;
 pub mod plot;

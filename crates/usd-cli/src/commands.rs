@@ -5,6 +5,7 @@ use pop_proto::telemetry::timeline::phase_tag;
 use pop_proto::telemetry::EngineTelemetry;
 use pop_proto::topology::TopologyFamily;
 use pop_proto::{EventHistograms, Simulator, TimelineRecorder};
+use sim_stats::json::ObjectWriter;
 use sim_stats::rng::SimRng;
 use sim_stats::summary::Summary;
 use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
@@ -361,7 +362,7 @@ fn print_histograms(backend: Backend, hist: &EventHistograms) {
 
 /// One-line schema-stable JSON run report (`run --telemetry=json`): the
 /// instance, the outcome, the optional `--histograms` quantiles, and the
-/// engine's telemetry object (always the last key).
+/// engine's telemetry object.
 #[allow(clippy::too_many_arguments)]
 fn run_report_json(
     backend: Backend,
@@ -379,24 +380,20 @@ fn run_report_json(
         ConsensusOutcome::Frozen => "frozen".to_string(),
         ConsensusOutcome::Timeout => "timeout".to_string(),
     };
-    let histograms = histograms.map_or(String::new(), |h| {
-        format!("\"histograms\":{},", h.to_json())
-    });
-    format!(
-        "{{\"backend\":\"{}\",\"n\":{},\"k\":{},\"seed\":{},\
-         \"outcome\":\"{}\",\"interactions\":{},\"parallel_time\":{:.6},\
-         \"wall_ms\":{:.3},{}\"telemetry\":{}}}",
-        backend.name(),
-        n,
-        k,
-        seed,
-        outcome,
-        result.interactions,
-        result.parallel_time(n),
-        elapsed.as_secs_f64() * 1e3,
-        histograms,
-        telemetry.to_json(),
-    )
+    let mut o = ObjectWriter::new();
+    o.str("backend", backend.name())
+        .u64("n", n)
+        .u64("k", k as u64)
+        .u64("seed", seed)
+        .str("outcome", &outcome)
+        .u64("interactions", result.interactions)
+        .f64("parallel_time", result.parallel_time(n), 6)
+        .f64("wall_ms", elapsed.as_secs_f64() * 1e3, 3);
+    if let Some(h) = histograms {
+        o.object("histograms", |o| h.write_json(o));
+    }
+    o.object("telemetry", |o| telemetry.write_json(o));
+    o.finish()
 }
 
 /// `usd-sim run`.
@@ -1285,6 +1282,34 @@ mod tests {
         }
         h.block_size.add_u64(6);
         assert_eq!(pinned_report(Some(&h)), PINNED_REPORT_WITH_HISTOGRAMS);
+    }
+
+    #[test]
+    fn pinned_reports_parse_with_the_documented_keys_in_order() {
+        use sim_stats::json::{parse, Value};
+        let head = [
+            "backend",
+            "n",
+            "k",
+            "seed",
+            "outcome",
+            "interactions",
+            "parallel_time",
+            "wall_ms",
+        ];
+        let bare = parse(PINNED_REPORT).unwrap();
+        let keys: Vec<&str> = bare.keys().collect();
+        assert_eq!(keys, [&head[..], &["telemetry"]].concat());
+        let full = parse(PINNED_REPORT_WITH_HISTOGRAMS).unwrap();
+        let keys: Vec<&str> = full.keys().collect();
+        assert_eq!(keys, [&head[..], &["histograms", "telemetry"]].concat());
+        assert_eq!(
+            full.get("outcome").and_then(Value::as_str),
+            Some("winner:1")
+        );
+        assert_eq!(full.get("n").and_then(Value::as_u64), Some(1_000));
+        let scheduled = full.get("telemetry").and_then(|t| t.get("scheduled"));
+        assert_eq!(scheduled.and_then(Value::as_u64), Some(123_456));
     }
 
     #[test]

@@ -179,121 +179,6 @@ impl fmt::Display for UsdConfig {
     }
 }
 
-/// Errors from [`UsdConfig::from_json`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseConfigError(String);
-
-impl fmt::Display for ParseConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid UsdConfig: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParseConfigError {}
-
-impl UsdConfig {
-    /// Render as the canonical JSON object `{"x":[…],"u":…}`.
-    ///
-    /// Hand-rolled (this workspace builds without a registry, so there is no
-    /// serde); the format is plain JSON and round-trips through
-    /// [`UsdConfig::from_json`].
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(16 + 8 * self.x.len());
-        s.push_str("{\"x\":[");
-        for (i, &v) in self.x.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&v.to_string());
-        }
-        s.push_str("],\"u\":");
-        s.push_str(&self.u.to_string());
-        s.push('}');
-        s
-    }
-
-    /// Parse the JSON object produced by [`UsdConfig::to_json`]. Accepts
-    /// arbitrary whitespace and either field order; rejects unknown or
-    /// missing fields.
-    pub fn from_json(text: &str) -> Result<Self, ParseConfigError> {
-        let err = |m: &str| ParseConfigError(m.to_string());
-        let body = text.trim();
-        let body = body
-            .strip_prefix('{')
-            .and_then(|b| b.strip_suffix('}'))
-            .ok_or_else(|| err("expected a JSON object"))?;
-
-        let mut x: Option<Vec<u64>> = None;
-        let mut u: Option<u64> = None;
-        let mut rest = body.trim();
-        while !rest.is_empty() {
-            let after_key = rest
-                .strip_prefix("\"x\"")
-                .map(|r| ("x", r))
-                .or_else(|| rest.strip_prefix("\"u\"").map(|r| ("u", r)));
-            let (key, after) = after_key.ok_or_else(|| err("expected field `x` or `u`"))?;
-            let after = after
-                .trim_start()
-                .strip_prefix(':')
-                .ok_or_else(|| err("expected `:` after field name"))?
-                .trim_start();
-            let remaining = match key {
-                "x" => {
-                    if x.is_some() {
-                        return Err(err("duplicate field `x`"));
-                    }
-                    let inner = after
-                        .strip_prefix('[')
-                        .ok_or_else(|| err("field `x` must be an array"))?;
-                    let close = inner.find(']').ok_or_else(|| err("unterminated array"))?;
-                    let mut values = Vec::new();
-                    let elements = inner[..close].trim();
-                    if !elements.is_empty() {
-                        for part in elements.split(',') {
-                            values.push(
-                                part.trim()
-                                    .parse::<u64>()
-                                    .map_err(|e| err(&format!("bad count: {e}")))?,
-                            );
-                        }
-                    }
-                    x = Some(values);
-                    &inner[close + 1..]
-                }
-                _ => {
-                    if u.is_some() {
-                        return Err(err("duplicate field `u`"));
-                    }
-                    let end = after
-                        .find(|c: char| !c.is_ascii_digit())
-                        .unwrap_or(after.len());
-                    u = Some(
-                        after[..end]
-                            .parse::<u64>()
-                            .map_err(|e| err(&format!("bad undecided count: {e}")))?,
-                    );
-                    &after[end..]
-                }
-            };
-            rest = remaining.trim_start();
-            if let Some(more) = rest.strip_prefix(',') {
-                rest = more.trim_start();
-                if rest.is_empty() {
-                    return Err(err("trailing comma"));
-                }
-            } else if !rest.is_empty() {
-                return Err(err("expected `,` between fields"));
-            }
-        }
-        let x = x.ok_or_else(|| err("missing field `x`"))?;
-        let u = u.ok_or_else(|| err("missing field `u`"))?;
-        if x.is_empty() {
-            return Err(err("need at least one opinion"));
-        }
-        Ok(UsdConfig::new(x, u))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,31 +258,5 @@ mod tests {
     #[should_panic(expected = "at least one opinion")]
     fn empty_opinion_vector_rejected() {
         UsdConfig::new(vec![], 5);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let c = UsdConfig::new(vec![4, 6], 2);
-        assert_eq!(c.to_json(), r#"{"x":[4,6],"u":2}"#);
-        assert_eq!(UsdConfig::from_json(&c.to_json()).unwrap(), c);
-        // Whitespace and field order are accepted.
-        let parsed = UsdConfig::from_json(" { \"u\" : 2 , \"x\" : [ 4 , 6 ] } ").unwrap();
-        assert_eq!(parsed, c);
-    }
-
-    #[test]
-    fn json_rejects_unknown_and_missing_fields() {
-        let e = UsdConfig::from_json(r#"{"bogus":1}"#).unwrap_err();
-        assert!(e.to_string().contains("expected field `x` or `u`"), "{e}");
-        let e = UsdConfig::from_json(r#"{"u":2}"#).unwrap_err();
-        assert!(e.to_string().contains("missing field `x`"), "{e}");
-        let e = UsdConfig::from_json(r#"{"x":[]}"#).unwrap_err();
-        assert!(e.to_string().contains("missing field `u`"), "{e}");
-        let e = UsdConfig::from_json(r#"{"x":[1],"x":[2],"u":0}"#).unwrap_err();
-        assert!(e.to_string().contains("duplicate"), "{e}");
-        let e = UsdConfig::from_json(r#"{"x":[],"u":0}"#).unwrap_err();
-        assert!(e.to_string().contains("at least one opinion"), "{e}");
-        assert!(UsdConfig::from_json("not json").is_err());
-        assert!(UsdConfig::from_json(r#"{"x":[1,"u":0}"#).is_err());
     }
 }

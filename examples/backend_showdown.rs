@@ -4,6 +4,9 @@
 //! cargo run --release --example backend_showdown [n] [--json [path]]
 //! ```
 //!
+//! `--json` writes the rows to `path` (default `BENCH_showdown.json`; they
+//! carry no `effective_per_s`, so they are no `bench_compare` baseline).
+//!
 //! Runs the same Figure-1 instance to stabilization on each backend the
 //! workspace provides — per-agent, countwise, batch-leaping, the active-edge
 //! graphwise engine (on the complete graph, its degenerate topology), and
@@ -16,6 +19,7 @@
 //! it; its real habitat is sparse topologies via `usd-sim run --topology`).
 
 use plurality_consensus::prelude::*;
+use sim_stats::json::ObjectWriter;
 use usd_core::backend::Backend;
 use usd_core::RunSpec;
 
@@ -28,7 +32,7 @@ fn main() {
         if arg == "--json" {
             json = Some(match it.peek() {
                 Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
-                _ => "BENCH_backends.json".to_string(),
+                _ => "BENCH_showdown.json".to_string(),
             });
         } else if let Ok(v) = arg.parse() {
             n = v;
@@ -80,21 +84,22 @@ fn main() {
             wall,
             winner
         );
-        rows.push(format!(
-            "  {{\"backend\":\"{}\",\"topology\":\"clique\",\"n\":{n},\"mode\":\"stabilize\",\
-             \"wall_s\":{:.6},\"scheduled\":{},\"scheduled_per_s\":{:.1},\"winner\":\"{winner}\"}}",
-            backend.name(),
-            wall.as_secs_f64(),
-            result.interactions,
-            result.interactions as f64 / wall.as_secs_f64(),
-        ));
+        let per_s = result.interactions as f64 / wall.as_secs_f64();
+        let mut row = ObjectWriter::new();
+        row.str("backend", backend.name())
+            .str("topology", "clique")
+            .u64("n", n)
+            .str("mode", "stabilize")
+            .f64("wall_s", wall.as_secs_f64(), 6)
+            .u64("scheduled", result.interactions)
+            .f64("scheduled_per_s", per_s, 1)
+            .str("winner", &winner);
+        rows.push(row.finish());
     }
     if let Some(path) = json {
-        let doc = format!(
-            "{{\n\"workload\": \"backend_showdown\",\n\"rows\": [\n{}\n]\n}}\n",
-            rows.join(",\n")
-        );
-        std::fs::write(&path, doc).unwrap_or_else(|e| {
+        let mut doc = ObjectWriter::document();
+        doc.str("workload", "backend_showdown").rows("rows", rows);
+        std::fs::write(&path, doc.finish()).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });
