@@ -1,4 +1,4 @@
-//! Engine throughput: interactions per second for the four exact engines.
+//! Engine throughput: interactions per second for three exact engines.
 //!
 //! This is the quantitative backing for the engine trade-offs in the
 //! README's "Simulation backends" section:
@@ -6,12 +6,12 @@
 //! skip-ahead engine wins by the no-op fraction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pop_proto::{AgentSimulator, CliqueScheduler, CountSimulator};
+use pop_proto::{AgentSimulator, CliqueScheduler, CountSimulator, Simulator};
 use sim_stats::rng::SimRng;
 use std::hint::black_box;
 use usd_bench::bench_config;
-use usd_core::dynamics::{SequentialUsd, SkipAheadUsd, UsdSimulator};
 use usd_core::protocol::UndecidedStateDynamics;
+use usd_core::SkipAheadSimulator;
 
 const INTERACTIONS: u64 = 100_000;
 
@@ -58,33 +58,14 @@ fn bench_engines(c: &mut Criterion) {
         );
 
         group.bench_with_input(
-            BenchmarkId::new("sequential_usd", format!("n{n}_k{k}")),
+            BenchmarkId::new("skip_ahead", format!("n{n}_k{k}")),
             &config,
             |b, config| {
                 b.iter(|| {
-                    let mut sim = SequentialUsd::new(config);
+                    let mut sim = SkipAheadSimulator::new(config);
                     let mut rng = SimRng::new(1);
-                    for _ in 0..INTERACTIONS {
-                        sim.step(&mut rng);
-                    }
-                    black_box(sim.undecided())
-                })
-            },
-        );
-
-        group.bench_with_input(
-            BenchmarkId::new("skip_ahead_usd", format!("n{n}_k{k}")),
-            &config,
-            |b, config| {
-                b.iter(|| {
-                    let mut sim = SkipAheadUsd::new(config);
-                    let mut rng = SimRng::new(1);
-                    while sim.interactions() < INTERACTIONS {
-                        if sim.step_effective(&mut rng).is_none() {
-                            break;
-                        }
-                    }
-                    black_box(sim.undecided())
+                    sim.run_to_silence(&mut rng, INTERACTIONS);
+                    black_box(sim.counts()[k])
                 })
             },
         );

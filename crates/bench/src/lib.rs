@@ -3,9 +3,9 @@
 //! The benches measure (the engines are described in the README's
 //! "Simulation backends" section):
 //!
-//! * `bench_simulators` — per-interaction throughput of the four engines
-//!   (agentwise, generic countwise, SequentialUsd, SkipAheadUsd) across
-//!   (n, k) — the count-based vs agent-based and Fenwick-vs-naive ablation;
+//! * `bench_simulators` — per-interaction throughput of three engines
+//!   (agentwise, generic countwise, skip-ahead) across (n, k) — the
+//!   count-based vs agent-based and no-op-skipping ablation;
 //! * `bench_sampling` — Fenwick vs linear-scan vs alias-table categorical
 //!   sampling across category counts (the log k vs k vs O(1) crossover);
 //! * `bench_fig1` — the end-to-end Figure 1 run at reduced n (E1/E2's

@@ -201,18 +201,17 @@ mod tests {
     fn gap_changes_by_at_most_one_per_interaction() {
         // Structural claim in gap_walk_law's doc: verify by simulation.
         use sim_stats::rng::SimRng;
-        use usd_core::dynamics::{SequentialUsd, UsdSimulator};
+        use usd_core::backend::{make_simulator, Backend};
         let c = UsdConfig::decided(vec![40, 35, 25]);
-        let mut sim = SequentialUsd::new(&c);
+        let mut sim = make_simulator(Backend::Count, &c);
         let mut rng = SimRng::new(9);
-        let mut last_gap = sim.opinions()[0] as i64 - sim.opinions()[1] as i64;
-        for _ in 0..5_000 {
-            if sim.step_effective(&mut rng).is_none() {
-                break;
-            }
-            let gap = sim.opinions()[0] as i64 - sim.opinions()[1] as i64;
-            assert!((gap - last_gap).abs() <= 1, "gap jumped by more than 1");
-            last_gap = gap;
+        let gap = |counts: &[u64]| counts[0] as i64 - counts[1] as i64;
+        let mut last_gap = gap(sim.counts());
+        for _ in 0..20_000 {
+            sim.step(&mut rng);
+            let now = gap(sim.counts());
+            assert!((now - last_gap).abs() <= 1, "gap jumped by more than 1");
+            last_gap = now;
         }
     }
 }

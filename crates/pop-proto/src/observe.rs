@@ -14,7 +14,7 @@
 //!
 //! | backend | boundary | `delta_effective` |
 //! |---------|----------|-------------------|
-//! | `agent`, `count`, `seq` | every interaction | always ≤ 1 (**exact**) |
+//! | `agent`, `count` | every interaction | always ≤ 1 (**exact**) |
 //! | `skip` | every effective event | always 1 (**exact**) |
 //! | `graph` | every effective event (dense and sparse phase) | always 1 (**exact**) |
 //! | `batch` | block boundary (~√n draws) | ≥ 1 (**checkpoint**) |
@@ -51,7 +51,7 @@
 //!
 //! | backend | natural stride | cost of hitting a cadence mark |
 //! |---------|----------------|--------------------------------|
-//! | `agent`, `count`, `seq` | 1 interaction | none (already per-interaction) |
+//! | `agent`, `count` | 1 interaction | none (already per-interaction) |
 //! | `skip` | one geometric no-op leap | truncates ≤ 1 leap per mark |
 //! | `graph` | per event dense, block-leap sparse | truncates ≤ 1 sparse block per mark |
 //! | `batch`, `batchgraph` | ~√n-draw block | truncates ≤ 1 block per mark |

@@ -39,7 +39,7 @@
 //! number of no-ops before the next effective interaction is geometric
 //! with the exact effective-pair probability of the current configuration,
 //! and the effective interaction is drawn from the exact conditional
-//! pair law. (This generalizes `usd-core`'s `SkipAheadUsd` to arbitrary
+//! pair law. (This generalizes `usd-core`'s `SkipAheadSimulator` to arbitrary
 //! protocols.) The switch is purely a cost-model decision — both engines
 //! simulate the same chain.
 //!
@@ -47,7 +47,7 @@
 //!
 //! Every sampling step above follows the exact conditional law of the
 //! agent-level chain (up to `f64` evaluation of log-gamma CDFs, the same
-//! class of rounding as `SkipAheadUsd`'s geometric inversion), so the
+//! class of rounding as `SkipAheadSimulator`'s geometric inversion), so the
 //! induced chain on count configurations is the `CountSimulator` chain —
 //! verified distributionally in `tests/simulator_equivalence.rs`.
 //!

@@ -108,9 +108,11 @@ pub mod snapshot_tags {
     /// [`WideBatchGraphSimulator`](super::WideBatchGraphSimulator)
     /// (u16 states).
     pub const WIDE_BATCH_GRAPH: u8 = 6;
-    /// The sequential USD wrapper in `usd-core` (`SequentialGeneric`).
+    /// Retired: the sequential USD engine `seq`, since removed (it drew
+    /// `count`'s pairs from `count`'s layout). Reserved so its old
+    /// checkpoints are rejected by tag — never reuse it.
     pub const USD_SEQ: u8 = 7;
-    /// The skip-ahead USD wrapper in `usd-core` (`SkipAheadGeneric`).
+    /// The skip-ahead USD engine in `usd-core` (`SkipAheadSimulator`).
     pub const USD_SKIP: u8 = 8;
     /// [`ReplicaSimulator`](super::ReplicaSimulator) (bit-parallel
     /// replica lanes).
@@ -129,7 +131,7 @@ pub mod snapshot_tags {
             GRAPH => "graph",
             BATCH_GRAPH => "batchgraph",
             WIDE_BATCH_GRAPH => "batchgraph-wide",
-            USD_SEQ => "seq",
+            USD_SEQ => "seq (retired)",
             USD_SKIP => "skip",
             REPLICA => "replica",
             PAR_GRAPH => "pargraph (retired)",
@@ -251,7 +253,7 @@ pub trait Simulator {
     /// Engine telemetry accumulated over this simulator's lifetime: what
     /// the *engine* did (phases, blocks, draws, flushes, fallbacks) to
     /// simulate what the counters above report the *protocol* did. All
-    /// eight backends override this; the default returns a shared all-zero
+    /// seven backends override this; the default returns a shared all-zero
     /// instance so external `Simulator` implementations keep compiling.
     /// Counters a backend has no mechanism for stay zero — see the
     /// per-backend table in `usd_core::backend`.
@@ -290,7 +292,7 @@ pub trait Simulator {
     /// [`Simulator::restore_state`] on a freshly constructed simulator of
     /// the same configuration reproduces the uninterrupted run
     /// byte-for-byte (the RNG is owned by the driver and snapshotted
-    /// separately via `SimRng::state`). All eight backends override this;
+    /// separately via `SimRng::state`). All seven backends override this;
     /// the default keeps external `Simulator` implementations compiling
     /// and reports [`CheckpointError::Unsupported`].
     fn snapshot_state(&self, _w: &mut SnapshotWriter) -> Result<(), CheckpointError> {
@@ -398,7 +400,7 @@ pub trait Simulator {
     ///
     /// Observation granularity is the backend's advancement granularity —
     /// exact per-effective-event on the single-event engines
-    /// (`agent`/`count`/`graph` and the USD wrappers), block-boundary
+    /// (`agent`/`count`/`graph`/`skip`), block-boundary
     /// checkpoints on the leaping engines (`batch`/`batchgraph`); see the
     /// [`observe`](crate::observe) module docs for the per-backend table.
     /// [`SimObserver::max_stride`] bounds the scheduled interactions per

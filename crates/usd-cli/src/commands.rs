@@ -12,12 +12,11 @@ use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use std::path::{Path, PathBuf};
 use usd_core::backend::{make_agent_topology_simulator, Backend, RunTicker};
 use usd_core::checkpoint::RunCheckpoint;
-use usd_core::dynamics::{SkipAheadUsd, UsdSimulator};
 use usd_core::encode::Trajectory;
 use usd_core::init::InitialConfigBuilder;
 use usd_core::stabilization::ConsensusOutcome;
 use usd_core::theory::{self, Bounds};
-use usd_core::{EnsembleOutcome, RunSpec, DEFAULT_REPLICAS};
+use usd_core::{EnsembleOutcome, RunSpec, TrajectoryRecorder, DEFAULT_REPLICAS};
 
 /// CLI usage text.
 pub const USAGE: &str = "\
@@ -25,7 +24,7 @@ usd-sim — Undecided State Dynamics simulator
 
 commands:
   run    --n <u64> --k <usize> [--bias <u64> | --max-bias] [--seed <u64>]
-         [--backend agent|count|batch|graph|batchgraph|seq|skip|replica]
+         [--backend agent|count|batch|graph|batchgraph|skip|replica]
          [--replicas <1..=64>] [--threads <t>]
          [--trace <file.usdt>]
          [--topology complete|cycle|torus|hypercube|regular[:d]|er[:avg]]
@@ -37,7 +36,10 @@ commands:
          [--resume <file.ckpt>]
            one exact run to stabilization; optionally record a trajectory
            (backend default: skip; use batch for n >= 10^7, agent for
-           per-agent ground truth; trace requires the skip backend).
+           per-agent ground truth). --trace snapshots the configuration
+           about once per parallel round on any backend but replica (its
+           lane-summed counts are a mixture), not with --checkpoint or
+           --resume (a checkpoint carries no trajectory).
            --backend replica packs up to 64 independent replica runs of
            the same instance into one bit-parallel engine pass (one lane
            per bit of a machine word) and prints a per-lane ensemble
@@ -76,7 +78,7 @@ commands:
            resumed run reproduces the uninterrupted run byte-for-byte
            (final state and timeline)
   sweep  --n <u64> [--seeds <u64>] [--seed <u64>]
-         [--backend agent|count|batch|graph|batchgraph|seq|skip|replica]
+         [--backend agent|count|batch|graph|batchgraph|skip|replica]
            stabilization time across the admissible k grid vs the bounds
   bounds --n <u64> --k <usize>
            print the paper's bound curves for (n, k)
@@ -516,11 +518,6 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
                  (agent, graph, batchgraph, or replica), got {backend}"
             )));
         }
-        if trace_path.is_some() {
-            return Err(CliError(
-                "trace recording is clique-only (drop --topology)".to_string(),
-            ));
-        }
         let snapped = family.snap_n(n as usize) as u64;
         if snapped != n {
             println!("note: n snapped to {snapped} for the {family} family");
@@ -531,19 +528,17 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     if n < 2 || k < 1 || (k as u64) > n {
         return Err(CliError(format!("invalid instance n={n}, k={k}")));
     }
-    if trace_path.is_some() && backend != Backend::SkipAhead {
-        return Err(CliError(
-            "trace recording requires --backend skip".to_string(),
-        ));
-    }
-    if trace_path.is_some() && (timeline_path.is_some() || want_histograms) {
-        return Err(CliError(
-            "--timeline/--histograms use the generic engine drivers (drop --trace)".to_string(),
-        ));
+    if trace_path.is_some() && caps.replicas > 1 {
+        return Err(CliError(format!(
+            "--trace records one trajectory; the {backend} backend's lane-summed \
+             counts are a mixture of lanes"
+        )));
     }
     if trace_path.is_some() && (checkpoint_path.is_some() || resume_path.is_some()) {
         return Err(CliError(
-            "--checkpoint/--resume use the generic engine drivers (drop --trace)".to_string(),
+            "--trace cannot resume: a checkpoint carries no trajectory (drop \
+             --checkpoint/--resume)"
+                .to_string(),
         ));
     }
     // Preflight output directories now: a run can take hours, and the
@@ -554,6 +549,9 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(p) = &checkpoint_path {
         preflight_writable(p, "--checkpoint")?;
+    }
+    if let Some(p) = &trace_path {
+        preflight_writable(p, "--trace")?;
     }
     if matches!(backend, Backend::Graph | Backend::BatchGraph)
         && topology.is_none()
@@ -609,7 +607,12 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
 
     let mut rng = SimRng::new(seed);
     let started = std::time::Instant::now();
-    let mut trajectory = Trajectory::new(n, k);
+    // Snapshots about once per parallel round, from the same observer the
+    // library's `record_run` drives.
+    let mut tracer = trace_path
+        .as_ref()
+        .map(|_| TrajectoryRecorder::new(&config, 0, n));
+    let mut trajectory: Option<Trajectory> = None;
     // The flight recorder: fresh from the flags, or — on resume — the
     // checkpoint's restored recorder, mid-samples, so the rewritten JSONL
     // is byte-for-byte the uninterrupted run's. The recorder also bounds
@@ -655,8 +658,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
             written: 0,
         }),
     };
-    // Captured when a telemetry report was requested (the engine must
-    // outlive the stabilization drive, hence the keeping/in-place paths).
+    // Read off the engine once the drive ends (it outlives the drive).
     let mut telemetry: Option<EngineTelemetry> = None;
     let mut histograms: Option<EventHistograms> = None;
     // Per-lane outcomes of an ensemble run, read off the kept engine.
@@ -666,49 +668,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     // uninterrupted `run_to_silence`, bit-identical to the plain path.
     let monitored =
         monitor.heartbeat.is_some() || monitor.recorder.is_some() || monitor.checkpoint.is_some();
-    let result = if trace_path.is_some() {
-        // Stabilize with snapshots roughly once per parallel round (the
-        // skip backend, so the observer sees every effective event).
-        // The raw engine predates the `Simulator` trait, so the skip
-        // backend's counters (one geometric skip draw and one effective
-        // draw per event) are tallied here at the drive site.
-        let mut sim = SkipAheadUsd::new(&config);
-        let mut tally = EngineTelemetry::new();
-        trajectory.push(0, config.clone());
-        let mut next_capture = n;
-        loop {
-            match sim.step_effective(&mut rng) {
-                None => break,
-                Some(_) => {
-                    tally.effective += 1;
-                    tally.skip_draws += 1;
-                    tally.pair_draws += 1;
-                    if sim.interactions() >= next_capture {
-                        trajectory.push(sim.interactions(), sim.config());
-                        next_capture = sim.interactions() + n;
-                        if let Some(hb) = monitor.heartbeat.as_mut() {
-                            tally.scheduled = sim.interactions();
-                            hb.tick(sim.interactions(), &tally);
-                        }
-                    }
-                    if sim.is_silent() {
-                        break;
-                    }
-                }
-            }
-        }
-        trajectory.push(sim.interactions(), sim.config());
-        tally.scheduled = sim.interactions();
-        telemetry = Some(tally);
-        usd_core::stabilization::StabilizationResult {
-            outcome: match sim.winner() {
-                Some(w) => ConsensusOutcome::Winner(w),
-                None => ConsensusOutcome::AllUndecided,
-            },
-            interactions: sim.interactions(),
-            initial_plurality: config.plurality(),
-        }
-    } else if let Some((ckpt, from)) = &resumed {
+    let result = if let Some((ckpt, from)) = &resumed {
         // Rebuild the simulator exactly as the original run did (the
         // constructors consume the same RNG draws — e.g. the shuffled
         // initial layout on topologies), restore the engine payload,
@@ -791,144 +751,101 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
             }
             result
         }
-    } else if let Some(family) = topology {
-        if telemetry_format.is_some() || want_histograms || monitored || lanes > 1 {
-            let mut spec = RunSpec::new(&config)
-                .backend(backend)
-                .topology(family)
-                .topo_seed(topo_seed)
-                .replicas(lanes)
-                .span_timing(telemetry_format.is_some())
-                .histograms(want_histograms);
-            if let Some(t) = threads {
-                spec = spec.threads(t);
-            }
-            if monitored {
-                spec = spec.ticker(&mut monitor);
-            }
-            let (result, sim) = spec.run_keeping(&mut rng);
-            if let Some(s) = &sim {
-                if let Some(rec) = monitor.recorder.as_mut() {
-                    rec.finish(s.as_ref());
-                }
-                histograms = s.histograms();
-                if lanes > 1 {
-                    ensemble = Some(EnsembleOutcome::from_simulator(
-                        s.as_ref(),
-                        k,
-                        config.plurality(),
-                    ));
-                }
-            }
-            telemetry = Some(sim.map_or(EngineTelemetry::new(), |s| *s.telemetry()));
-            result
-        } else {
-            let mut spec = RunSpec::new(&config)
-                .backend(backend)
-                .topology(family)
-                .topo_seed(topo_seed);
-            if let Some(t) = threads {
-                spec = spec.threads(t);
-            }
-            spec.run(&mut rng)
-        }
-    } else if telemetry_format.is_some() || want_histograms || monitored || lanes > 1 {
+    } else {
         let mut spec = RunSpec::new(&config)
             .backend(backend)
             .replicas(lanes)
             .span_timing(telemetry_format.is_some())
             .histograms(want_histograms);
+        if let Some(family) = topology {
+            spec = spec.topology(family).topo_seed(topo_seed);
+        }
         if let Some(t) = threads {
             spec = spec.threads(t);
         }
         if monitored {
-            // The ticker forces the chunked drive loop; without one the
-            // builder issues a single `run_to_silence`, so a telemetry-only
-            // run stays interaction-identical to the plain path below for
-            // the same seed.
+            // The ticker forces the chunked drive loop; without one (and
+            // without a trace observer) a clique run is a single
+            // `run_to_silence`, interaction-identical to an uninstrumented
+            // run for the same seed.
             spec = spec.ticker(&mut monitor);
         }
+        if let Some(t) = tracer.as_mut() {
+            spec = spec.observer(t);
+        }
         let (result, sim) = spec.run_keeping(&mut rng);
-        let sim = sim.expect("clique runs always keep an engine");
-        if let Some(rec) = monitor.recorder.as_mut() {
-            rec.finish(sim.as_ref());
+        // No engine only for an edgeless topology graph: nothing ran.
+        if let Some(s) = &sim {
+            if let Some(rec) = monitor.recorder.as_mut() {
+                rec.finish(s.as_ref());
+            }
+            histograms = s.histograms();
+            telemetry = Some(*s.telemetry());
+            if lanes > 1 {
+                ensemble = Some(EnsembleOutcome::from_simulator(
+                    s.as_ref(),
+                    k,
+                    config.plurality(),
+                ));
+            }
         }
-        histograms = sim.histograms();
-        telemetry = Some(*sim.telemetry());
-        if lanes > 1 {
-            ensemble = Some(EnsembleOutcome::from_simulator(
-                sim.as_ref(),
-                k,
-                config.plurality(),
-            ));
-        }
+        trajectory = tracer.take().map(|t| match &sim {
+            Some(s) => t.finish(s.interactions(), s.counts()),
+            None => t.finish(0, config.to_count_config().counts()),
+        });
         result
-    } else {
-        let mut spec = RunSpec::new(&config).backend(backend);
-        if let Some(t) = threads {
-            spec = spec.threads(t);
-        }
-        spec.run(&mut rng)
     };
     let elapsed = started.elapsed();
 
-    match result.outcome {
-        ConsensusOutcome::Winner(w) => println!(
-            "stabilized on opinion {} after {} interactions ({:.2} parallel time); plurality won: {}; wall clock {:.2?}",
-            w + 1,
-            fmt_thousands(result.interactions),
-            result.parallel_time(n),
-            result.plurality_won(),
-            elapsed,
-        ),
-        ConsensusOutcome::AllUndecided => println!(
-            "absorbed in the all-undecided state after {} interactions; wall clock {:.2?}",
-            fmt_thousands(result.interactions),
-            elapsed,
-        ),
-        ConsensusOutcome::Frozen => {
-            // Lane-summed replica counts are a mixture whenever lanes
-            // disagree on the winner, even on a connected topology.
-            let why = if ensemble.is_some() {
-                "lane mixture -- see the ensemble line"
-            } else {
-                "disconnected topology"
-            };
-            println!(
-                "froze in a mixed configuration ({why}) after {} interactions; \
-                 wall clock {:.2?}",
-                fmt_thousands(result.interactions),
-                elapsed,
-            );
-        }
-        ConsensusOutcome::Timeout => println!("budget exhausted"),
-    }
-
     if let Some(ens) = &ensemble {
-        // The aggregate outcome above classifies the lane-summed counts
-        // (a mixture unless every lane agreed); the ensemble line is what
-        // the run actually measured — one independent replica per lane.
+        // A replica run measures one independent run per lane. Its
+        // aggregate counts are lane sums — a mixture whenever lanes elect
+        // different winners — so the headline reports the lanes instead.
         let times = ens.stabilization_times();
-        let lane_line = if times.is_empty() {
-            "no lane stabilized within the budget".to_string()
+        let lane_times = if times.is_empty() {
+            String::new()
         } else {
             let s = Summary::of(&times);
             let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
             let max = times.iter().cloned().fold(0.0f64, f64::max);
             format!(
-                "T parallel mean {} (min {}, max {})",
+                ", T parallel mean {} (min {}, max {})",
                 fmt_sig(s.mean() / n as f64, 4),
                 fmt_sig(min / n as f64, 4),
                 fmt_sig(max / n as f64, 4),
             )
         };
         println!(
-            "ensemble: {} lanes, {} stabilized, plurality won {}/{}, {lane_line}",
-            ens.len(),
+            "ensemble: {}/{} lanes stabilized, plurality won {}/{}{lane_times}; wall clock {:.2?}",
             ens.stabilized_lanes(),
+            ens.len(),
             ens.plurality_wins(),
             ens.len(),
+            elapsed,
         );
+    } else {
+        match result.outcome {
+            ConsensusOutcome::Winner(w) => println!(
+                "stabilized on opinion {} after {} interactions ({:.2} parallel time); plurality won: {}; wall clock {:.2?}",
+                w + 1,
+                fmt_thousands(result.interactions),
+                result.parallel_time(n),
+                result.plurality_won(),
+                elapsed,
+            ),
+            ConsensusOutcome::AllUndecided => println!(
+                "absorbed in the all-undecided state after {} interactions; wall clock {:.2?}",
+                fmt_thousands(result.interactions),
+                elapsed,
+            ),
+            ConsensusOutcome::Frozen => println!(
+                "froze in a mixed configuration (disconnected topology) after {} interactions; \
+                 wall clock {:.2?}",
+                fmt_thousands(result.interactions),
+                elapsed,
+            ),
+            ConsensusOutcome::Timeout => println!("budget exhausted"),
+        }
     }
 
     if let Some(format) = telemetry_format {
@@ -979,7 +896,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
         );
     }
 
-    if let Some(path) = trace_path {
+    if let (Some(path), Some(trajectory)) = (trace_path, trajectory) {
         let blob = trajectory.encode();
         std::fs::write(&path, &blob).map_err(|e| CliError(format!("writing {path}: {e}")))?;
         println!(
@@ -1165,15 +1082,7 @@ mod tests {
 
     #[test]
     fn run_accepts_telemetry_and_heartbeat_on_every_backend() {
-        for b in [
-            "agent",
-            "count",
-            "batch",
-            "graph",
-            "batchgraph",
-            "seq",
-            "skip",
-        ] {
+        for b in ["agent", "count", "batch", "graph", "batchgraph", "skip"] {
             cmd_run(&s(&[
                 "--n",
                 "500",
@@ -1327,26 +1236,55 @@ mod tests {
 
     #[test]
     fn run_and_trace_roundtrip_through_a_file() {
-        let dir = std::env::temp_dir().join("usd_cli_test");
+        let dir = std::env::temp_dir().join(format!("usd_cli_test.{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.usdt");
         let path_str = path.to_str().unwrap().to_string();
+        let timeline = dir.join("t.jsonl");
+        let timeline_str = timeline.to_str().unwrap().to_string();
 
+        // Every scalar clique backend records, next to the flight recorder
+        // and the histograms.
+        for b in ["agent", "count", "batch", "skip"] {
+            cmd_run(&s(&[
+                "--n",
+                "2000",
+                "--k",
+                "3",
+                "--seed",
+                "5",
+                "--backend",
+                b,
+                "--trace",
+                &path_str,
+                "--timeline",
+                &timeline_str,
+                "--histograms",
+            ]))
+            .unwrap_or_else(|e| panic!("backend {b}: {}", e.0));
+            cmd_trace(&s(&[&path_str])).unwrap();
+            // And the file decodes through the library too.
+            let blob = std::fs::read(&path).unwrap();
+            let traj = Trajectory::decode(&blob[..]).unwrap();
+            assert_eq!((traj.n, traj.k), (2000, 3), "{b}");
+            assert!(traj.snapshots.len() >= 2, "{b}");
+            // Final snapshot is silent (consensus or all-undecided).
+            let (_, last) = traj.snapshots.last().unwrap();
+            assert!(last.is_silent(), "{b}");
+        }
+        // A graph topology records through the same observer.
         cmd_run(&s(&[
-            "--n", "2000", "--k", "3", "--seed", "5", "--trace", &path_str,
+            "--n",
+            "256",
+            "--k",
+            "2",
+            "--topology",
+            "torus",
+            "--trace",
+            &path_str,
         ]))
         .unwrap();
-        cmd_trace(&s(&[&path_str])).unwrap();
-        // And the file decodes through the library too.
-        let blob = std::fs::read(&path).unwrap();
-        let traj = Trajectory::decode(&blob[..]).unwrap();
-        assert_eq!(traj.n, 2000);
-        assert_eq!(traj.k, 3);
-        assert!(traj.snapshots.len() >= 2);
-        // Final snapshot is silent (consensus or all-undecided).
-        let (_, last) = traj.snapshots.last().unwrap();
-        assert!(last.is_silent());
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1397,16 +1335,6 @@ mod tests {
             "batch"
         ]))
         .is_err());
-        // Trace needs the clique.
-        assert!(cmd_run(&s(&[
-            "--n",
-            "256",
-            "--topology",
-            "cycle",
-            "--trace",
-            "/tmp/x.usdt"
-        ]))
-        .is_err());
         // --degree without --topology.
         assert!(cmd_run(&s(&["--n", "256", "--degree", "8"])).is_err());
         // Unknown family.
@@ -1415,7 +1343,7 @@ mod tests {
 
     #[test]
     fn run_accepts_every_backend() {
-        for b in ["agent", "count", "batch", "graph", "seq", "skip"] {
+        for b in ["agent", "count", "batch", "graph", "skip"] {
             cmd_run(&s(&[
                 "--n",
                 "500",
@@ -1433,15 +1361,27 @@ mod tests {
     #[test]
     fn run_rejects_unknown_backend_and_trace_combination() {
         assert!(cmd_run(&s(&["--n", "500", "--backend", "warp"])).is_err());
+        // `seq` is retired.
+        assert!(cmd_run(&s(&["--n", "500", "--backend", "seq"])).is_err());
+        // A replica trace would record a mixture of lanes, and a
+        // checkpoint carries no trajectory; both are rejected before any
+        // file is written.
+        let trace = std::env::temp_dir().join("usd_cli_never_written.usdt");
+        let trace = trace.to_str().unwrap();
         assert!(cmd_run(&s(&[
             "--n",
             "500",
             "--backend",
-            "batch",
+            "replica",
             "--trace",
-            "/tmp/x.usdt"
+            trace
         ]))
         .is_err());
+        let ckpt = std::env::temp_dir().join("usd_cli_never_written.ckpt");
+        let ckpt = ckpt.to_str().unwrap();
+        assert!(cmd_run(&s(&["--n", "500", "--trace", trace, "--checkpoint", ckpt])).is_err());
+        assert!(cmd_run(&s(&["--n", "500", "--trace", trace, "--resume", ckpt])).is_err());
+        assert!(!Path::new(trace).exists());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Process-level exit codes of `usd-sim`: argument errors exit 2 with a
-//! `usd-sim: …` message on stderr, before any simulation work starts.
+//! Process-level behavior of `usd-sim`: argument errors exit 2 with a
+//! `usd-sim: …` message on stderr, before any simulation work starts, and
+//! a replica run reports its lanes.
 
 use std::process::{Command, Output};
 
@@ -39,6 +40,62 @@ fn unknown_backend_exits_2_and_lists_the_backends() {
     let out = usd_sim(&["run", "--n", "500", "--backend", "warp"]);
     assert_exit_2(
         &out,
-        "expected agent|count|batch|graph|batchgraph|seq|skip|replica",
+        "expected agent|count|batch|graph|batchgraph|skip|replica",
+    );
+}
+
+#[test]
+fn retired_seq_backend_exits_2() {
+    let out = usd_sim(&["run", "--n", "500", "--backend", "seq"]);
+    assert_exit_2(&out, "unknown backend 'seq'");
+}
+
+#[test]
+fn trace_exits_2_on_replica_and_with_checkpoints() {
+    let dir = std::env::temp_dir();
+    let trace = dir.join(format!("usd_exit_{}.usdt", std::process::id()));
+    let ckpt = dir.join(format!("usd_exit_{}.ckpt", std::process::id()));
+    let (trace, ckpt) = (trace.to_str().unwrap(), ckpt.to_str().unwrap());
+    let out = usd_sim(&[
+        "run",
+        "--n",
+        "500",
+        "--backend",
+        "replica",
+        "--trace",
+        trace,
+    ]);
+    assert_exit_2(&out, "mixture of lanes");
+    for flag in ["--checkpoint", "--resume"] {
+        let out = usd_sim(&["run", "--n", "500", "--trace", trace, flag, ckpt]);
+        assert_exit_2(&out, "a checkpoint carries no trajectory");
+    }
+    assert!(!std::path::Path::new(trace).exists());
+}
+
+/// A tied k = 2 ensemble elects both opinions across its lanes, so the
+/// lane-summed counts are a mixture. The headline must still report that
+/// every lane stabilized, not a frozen configuration.
+#[test]
+fn replica_headline_reports_the_lanes() {
+    let out = usd_sim(&[
+        "run",
+        "--n",
+        "2000",
+        "--k",
+        "2",
+        "--bias",
+        "0",
+        "--seed",
+        "4",
+        "--backend",
+        "replica",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    assert!(!stdout.contains("froze"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("ensemble: 64/64 lanes stabilized"),
+        "stdout: {stdout}"
     );
 }

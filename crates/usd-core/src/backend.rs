@@ -1,6 +1,6 @@
 //! Generic backend selection for USD runs.
 //!
-//! Eight exact engines can run the Undecided State Dynamics:
+//! Seven exact engines can run the Undecided State Dynamics:
 //!
 //! | backend | engine | cost model |
 //! |---------|--------|------------|
@@ -9,8 +9,7 @@
 //! | `batch` | [`pop_proto::BatchSimulator`] | O(k²+log n) per ~√n interactions |
 //! | `graph` | [`pop_proto::GraphSimulator`] | O(d log m)/**effective** interaction |
 //! | `batchgraph` | [`pop_proto::BatchGraphSimulator`] | block-leaping O(1)/interaction, sparse O(d log m)/effective |
-//! | `seq`   | [`crate::dynamics::SequentialUsd`] | O(log k)/interaction, USD-specialized |
-//! | `skip`  | [`crate::dynamics::SkipAheadUsd`] | O(log k)/effective event |
+//! | `skip`  | [`crate::SkipAheadSimulator`] | O(log k)/effective event, USD-specialized |
 //! | `replica` | [`pop_proto::ReplicaSimulator`] | r ≤ 64 packed lanes, O(⌈log₂(k+1)⌉)/draw for **all** lanes |
 //!
 //! [`Backend`] names them (with `FromStr` for CLI flags);
@@ -50,7 +49,6 @@
 //! | `batch` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (collision steps), `table_draws`, `skip_draws`, `dense_steps`/`pair_draws` |
 //! | `graph` | clocks, `dense_steps`, `pair_draws`, `sparse_enters`/`sparse_exits`, all `sparse.*` skipper stats, spans `dense`/`sparse` |
 //! | `batchgraph` | clocks, `blocks`/`block_draws`/`block_applied`, `fallback_literal` (dirty draws), `pair_draws`, `sparse_enters`/`sparse_exits`, all `sparse.*`, spans `dense`/`gather`/`apply`/`sparse` |
-//! | `seq` | `scheduled`/`effective`, `dense_steps`, `pair_draws` |
 //! | `skip` | `scheduled`/`effective`, `skip_draws`, `pair_draws` |
 //! | `replica` | `scheduled`/`effective` (*lane-aggregate*: +popcount(live)/+popcount(changed) per draw), `dense_steps`/`pair_draws` (per *draw*) |
 //!
@@ -77,7 +75,6 @@
 //! | `batch` | `skip_len` (geometric draws), `block_size` (applied per batch), `fallback_run` (collision literals) |
 //! | `graph` | `skip_len` (dense no-op runs + sparse geometric draws), `block_total`/`flush_size`/`flush_occupancy` (sparse skipper) |
 //! | `batchgraph` | `skip_len`, `block_size` (matching blocks), `fallback_run` (dirty draws), `block_total`/`flush_size`/`flush_occupancy` (sparse skipper) |
-//! | `seq` | `skip_len` (literally-counted no-op runs) |
 //! | `skip` | `skip_len` (completed geometric runs) |
 //! | `replica` | `skip_len` (runs of draws effective in **no** lane) |
 
@@ -104,8 +101,6 @@ pub enum Backend {
     /// Batch-leaping graph simulator (matching-based multi-event blocks;
     /// the fast engine for effective-dominated topologies).
     BatchGraph,
-    /// USD-specialized sequential engine.
-    Sequential,
     /// USD-specialized skip-ahead engine.
     SkipAhead,
     /// Bit-parallel replica engine: up to 64 independent replica runs
@@ -116,19 +111,18 @@ pub enum Backend {
 
 impl Backend {
     /// All backends, in display order.
-    pub const ALL: [Backend; 8] = [
+    pub const ALL: [Backend; 7] = [
         Backend::Agent,
         Backend::Count,
         Backend::Batch,
         Backend::Graph,
         Backend::BatchGraph,
-        Backend::Sequential,
         Backend::SkipAhead,
         Backend::Replica,
     ];
 
     /// The flag-friendly name (`agent`, `count`, `batch`, `graph`,
-    /// `batchgraph`, `seq`, `skip`, `replica`).
+    /// `batchgraph`, `skip`, `replica`).
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Agent => "agent",
@@ -136,7 +130,6 @@ impl Backend {
             Backend::Batch => "batch",
             Backend::Graph => "graph",
             Backend::BatchGraph => "batchgraph",
-            Backend::Sequential => "seq",
             Backend::SkipAhead => "skip",
             Backend::Replica => "replica",
         }
@@ -157,8 +150,9 @@ impl Backend {
     /// and construction paths consult. See [`Capabilities`].
     pub fn capabilities(&self) -> Capabilities {
         let granularity = match self {
-            Backend::Agent | Backend::Count | Backend::Sequential => ObservationGranularity::Event,
-            Backend::SkipAhead | Backend::Graph => ObservationGranularity::Event,
+            Backend::Agent | Backend::Count | Backend::SkipAhead | Backend::Graph => {
+                ObservationGranularity::Event
+            }
             Backend::Batch | Backend::BatchGraph | Backend::Replica => {
                 ObservationGranularity::Block
             }
@@ -232,12 +226,11 @@ impl std::str::FromStr for Backend {
             "batch" => Ok(Backend::Batch),
             "graph" | "graphwise" => Ok(Backend::Graph),
             "batchgraph" | "batch-graph" => Ok(Backend::BatchGraph),
-            "seq" | "sequential" => Ok(Backend::Sequential),
             "skip" | "skip-ahead" => Ok(Backend::SkipAhead),
             "replica" | "ensemble" => Ok(Backend::Replica),
             other => Err(format!(
                 "unknown backend '{other}' (expected \
-                 agent|count|batch|graph|batchgraph|seq|skip|replica)"
+                 agent|count|batch|graph|batchgraph|skip|replica)"
             )),
         }
     }
@@ -251,10 +244,9 @@ pub const COMPLETE_GRAPH_MAX_N: u64 = 10_000;
 /// Construct a generic-substrate simulator for `config` as a trait object.
 ///
 /// Every backend is a generic-substrate engine: the six `pop-proto`
-/// engines natively (the replica ensemble engine with 64 lanes by
-/// default) and the two USD-specialized ones through their thin wrappers,
-/// so observer-driven experiments select any of the eight
-/// interchangeably. Delegates to
+/// engines (the replica ensemble engine with 64 lanes by default) and the
+/// USD-specialized [`SkipAheadSimulator`](crate::SkipAheadSimulator), so
+/// observer-driven experiments select any of the seven interchangeably. Delegates to
 /// [`RunSpec::build_simulator`](crate::RunSpec::build_simulator) — the one
 /// place backends register; clique construction draws no RNG (replica lane
 /// layouts come from an internal fixed-seed stream). [`Backend::Graph`]
@@ -402,10 +394,9 @@ mod tests {
             assert_eq!(b.name().parse::<Backend>().unwrap(), b);
             assert_eq!(b.to_string(), b.name());
         }
-        assert_eq!(
-            "sequential".parse::<Backend>().unwrap(),
-            Backend::Sequential
-        );
+        // `seq` is retired: it simulated `count`'s chain with `count`'s draws.
+        assert!("seq".parse::<Backend>().is_err());
+        assert!("sequential".parse::<Backend>().is_err());
         assert_eq!("skip-ahead".parse::<Backend>().unwrap(), Backend::SkipAhead);
         assert_eq!("graphwise".parse::<Backend>().unwrap(), Backend::Graph);
         assert_eq!("ensemble".parse::<Backend>().unwrap(), Backend::Replica);
@@ -448,7 +439,6 @@ mod tests {
         for b in [
             Backend::Agent,
             Backend::Count,
-            Backend::Sequential,
             Backend::SkipAhead,
             Backend::Graph,
         ] {
@@ -539,20 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_wrapper_is_a_generic_backend() {
-        let config = UsdConfig::decided(vec![60, 20]);
-        let mut sim = make_simulator(Backend::Sequential, &config);
-        let mut rng = SimRng::new(17);
-        let (t, silent) = sim.run_to_silence(&mut rng, u64::MAX / 2);
-        assert!(silent);
-        assert!(t > 0);
-        assert_eq!(sim.counts().iter().sum::<u64>(), 80);
-        assert!(sim.effective_interactions() > 0);
-        assert!(sim.effective_interactions() <= sim.interactions());
-    }
-
-    #[test]
-    fn skip_ahead_wrapper_is_a_generic_backend() {
+    fn skip_ahead_is_a_generic_backend() {
         let config = UsdConfig::decided(vec![60, 20]);
         let mut sim = make_simulator(Backend::SkipAhead, &config);
         let mut rng = SimRng::new(13);

@@ -114,7 +114,7 @@ impl std::fmt::Display for RunIdentity {
 #[derive(Debug, Clone)]
 pub struct RunCheckpoint {
     /// Backend flag name (`agent`, `count`, `batch`, `graph`,
-    /// `batchgraph`, `seq`, `skip`; `replica:<lanes>` for ensembles).
+    /// `batchgraph`, `skip`; `replica:<lanes>` for ensembles).
     pub backend: String,
     /// Population size.
     pub n: u64,

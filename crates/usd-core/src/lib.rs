@@ -26,19 +26,22 @@
 //! * [`init`] — initial-configuration families, including the paper's
 //!   lower-bound family (equal minorities, majority bias
 //!   β = O((√n/(k log n))^¼ · √(n log n))) and the Figure 1 family;
-//! * [`dynamics`] — two specialized exact simulators:
-//!   [`dynamics::SequentialUsd`] (O(log k) per interaction) and
-//!   [`dynamics::SkipAheadUsd`] (geometric skipping over no-op
-//!   interactions, exact in distribution, for large-n sweeps);
-//! * [`backend`] — uniform selection among those engines and the three
-//!   generic `pop-proto` backends (`agent`, `count`, and the batch-leaping
-//!   `batch` for n ≥ 10⁸), one entry point for experiments and the CLI;
+//! * [`skip_ahead`] — the USD-specialized [`SkipAheadSimulator`]
+//!   (geometric skipping over no-op interactions, exact in distribution),
+//!   a [`pop_proto::Simulator`] like every other engine;
+//! * [`backend`] and [`runspec`] — the seven backends (the skip-ahead
+//!   engine and the six `pop-proto` engines: `agent`, `count`, the
+//!   batch-leaping `batch` for n ≥ 10⁸, the two graph engines and the
+//!   replica ensemble engine) behind one entry point, [`RunSpec`], for
+//!   experiments and the CLI;
 //! * [`analysis`] — every quantity the proof manipulates: the plateau
 //!   n/2 − n/4k, the per-opinion threshold uᵢ = (n − xᵢ)/2, closed-form
 //!   one-step drifts of u(t) and Δᵢⱼ(t), the maximum pairwise gap, and the
 //!   monochromatic distance of Becchetti et al.;
-//! * [`stabilization`] — consensus detection and the doubling-time
-//!   detectors used by Lemmas 3.3/3.4 and Figure 1 (right);
+//! * [`stabilization`] — the classified outcome of a run and a
+//!   first-crossing detector;
+//! * [`recording`] — a round-cadence [`TrajectoryRecorder`] observer that
+//!   records a run on any backend;
 //! * [`theory`] — the paper's bound curves (Theorem 3.5 lower bound,
 //!   Amir et al. upper bound, admissible-bias and valid-k predicates);
 //! * [`phases`] — segmentation of a run into the ramp / plateau / endgame
@@ -52,7 +55,6 @@ pub mod analysis;
 pub mod backend;
 pub mod checkpoint;
 pub mod config;
-pub mod dynamics;
 pub mod encode;
 pub mod init;
 pub mod mean_field;
@@ -60,6 +62,7 @@ pub mod phases;
 pub mod protocol;
 pub mod recording;
 pub mod runspec;
+pub mod skip_ahead;
 pub mod stabilization;
 pub mod theory;
 
@@ -72,12 +75,10 @@ pub use backend::{
 };
 pub use checkpoint::{RunCheckpoint, RunIdentity};
 pub use config::UsdConfig;
-pub use dynamics::{
-    SequentialGeneric, SequentialUsd, SkipAheadGeneric, SkipAheadUsd, UsdEvent, UsdSimulator,
-};
 pub use init::InitialConfigBuilder;
 pub use protocol::{UndecidedStateDynamics, UsdState};
-pub use recording::record_run;
+pub use recording::{record_run, TrajectoryRecorder};
 pub use runspec::{EnsembleOutcome, LaneOutcome, RunSpec, DEFAULT_REPLICAS};
+pub use skip_ahead::SkipAheadSimulator;
 pub use stabilization::{ConsensusOutcome, DoublingDetector, StabilizationResult};
 pub use theory::Bounds;

@@ -1,104 +1,150 @@
-//! Convenience glue: run a simulator while recording a [`Trajectory`].
+//! Record a [`Trajectory`] while a simulator runs.
 //!
-//! Wraps the "simulate + snapshot once per parallel round" loop that the
-//! figure binaries, the CLI, and the examples all need, producing the
-//! binary-encodable [`Trajectory`] of [`crate::encode`].
+//! [`TrajectoryRecorder`] is a [`SimObserver`] that snapshots the
+//! configuration roughly once per `every` interactions (plus the initial
+//! and final configurations), producing the binary-encodable
+//! [`Trajectory`] of [`crate::encode`]. It rides on
+//! [`Simulator::advance_observed`], so it records on every backend: exactly
+//! at the first effective event past each cadence mark on the event-exact
+//! engines, at the first block boundary past it on the leaping ones. Every
+//! snapshot carries its own interaction stamp, so block-boundary snapshots
+//! stay honest. [`record_run`] drives an engine with it; `usd-sim run
+//! --trace` attaches the same recorder through
+//! [`RunSpec::observer`](crate::RunSpec::observer).
 
-use crate::dynamics::UsdSimulator;
+use crate::config::UsdConfig;
 use crate::encode::Trajectory;
+use pop_proto::{Observation, SimObserver, Simulator};
 use sim_stats::rng::SimRng;
 
-/// Run `sim` until it is silent or `budget` interactions have elapsed,
+/// The USD configuration of dense counts (opinions, then ⊥ last).
+fn usd_config(counts: &[u64]) -> UsdConfig {
+    let (u, opinions) = counts.split_last().expect("at least the undecided state");
+    UsdConfig::new(opinions.to_vec(), *u)
+}
+
+/// Round-cadence trajectory recorder (see the [module docs](self)).
+#[derive(Debug, Clone)]
+pub struct TrajectoryRecorder {
+    trajectory: Trajectory,
+    every: u64,
+    next_capture: u64,
+}
+
+impl TrajectoryRecorder {
+    /// Start a trajectory at `config`, observed at interaction `start`,
+    /// capturing a snapshot at the first observation at least `every`
+    /// interactions after the previous one.
+    pub fn new(config: &UsdConfig, start: u64, every: u64) -> Self {
+        assert!(every >= 1, "cadence must be at least 1");
+        let mut trajectory = Trajectory::new(config.n(), config.k());
+        trajectory.push(start, config.clone());
+        TrajectoryRecorder {
+            trajectory,
+            every,
+            next_capture: start + every,
+        }
+    }
+
+    /// Close the trajectory at the final state — interaction clock
+    /// `interactions`, dense `counts` — unless the last snapshot already
+    /// sits at that clock, and return it.
+    pub fn finish(mut self, interactions: u64, counts: &[u64]) -> Trajectory {
+        if self.trajectory.snapshots.last().map(|&(t, _)| t) != Some(interactions) {
+            self.trajectory.push(interactions, usd_config(counts));
+        }
+        self.trajectory
+    }
+}
+
+impl SimObserver for TrajectoryRecorder {
+    fn observe(&mut self, obs: &Observation<'_>) -> bool {
+        if obs.interactions >= self.next_capture {
+            self.trajectory
+                .push(obs.interactions, usd_config(obs.counts));
+            self.next_capture = obs.interactions + self.every;
+        }
+        true
+    }
+}
+
+/// Run `sim` until it is silent or its interaction clock reaches `budget`,
 /// recording a snapshot roughly every `every` interactions (plus the
 /// initial and final configurations). Returns the trajectory and whether
 /// the run stabilized.
-pub fn record_run<S: UsdSimulator>(
-    sim: &mut S,
+pub fn record_run(
+    sim: &mut dyn Simulator,
     rng: &mut SimRng,
     budget: u64,
     every: u64,
 ) -> (Trajectory, bool) {
-    assert!(every >= 1, "cadence must be at least 1");
-    let mut traj = Trajectory::new(sim.n(), sim.k());
-    traj.push(sim.interactions(), sim.config());
-    let mut next_capture = sim.interactions() + every;
-    let mut stabilized = false;
-    while sim.interactions() < budget {
-        match sim.step_effective(rng) {
-            None => {
-                stabilized = true;
-                break;
-            }
-            Some(_) => {
-                if sim.interactions() >= next_capture {
-                    traj.push(sim.interactions(), sim.config());
-                    next_capture = sim.interactions() + every;
-                }
-                if sim.is_silent() {
-                    stabilized = true;
-                    break;
-                }
-            }
-        }
-    }
-    let final_t = sim.interactions();
-    if traj.snapshots.last().map(|&(t, _)| t) != Some(final_t) {
-        traj.push(final_t, sim.config());
-    }
-    (traj, stabilized)
+    let start = sim.interactions();
+    let mut recorder = TrajectoryRecorder::new(&usd_config(sim.counts()), start, every);
+    sim.advance_observed(rng, budget.saturating_sub(start), &mut recorder);
+    (
+        recorder.finish(sim.interactions(), sim.counts()),
+        sim.is_silent(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::SkipAheadUsd;
+    use crate::backend::{make_simulator, Backend};
     use crate::init::InitialConfigBuilder;
 
     #[test]
-    fn records_initial_and_final_snapshots() {
+    fn records_initial_and_final_snapshots_on_every_clique_engine() {
         let config = InitialConfigBuilder::new(1_000, 3).figure1();
-        let mut sim = SkipAheadUsd::new(&config);
-        let mut rng = SimRng::new(1);
-        let (traj, stabilized) = record_run(&mut sim, &mut rng, u64::MAX / 2, 1_000);
-        assert!(stabilized);
-        assert!(traj.snapshots.len() >= 2);
-        assert_eq!(traj.snapshots[0].0, 0);
-        assert_eq!(traj.snapshots[0].1, config);
-        let (t_final, final_cfg) = traj.snapshots.last().unwrap();
-        assert_eq!(*t_final, sim.interactions());
-        assert!(final_cfg.is_silent());
+        for backend in [
+            Backend::Agent,
+            Backend::Count,
+            Backend::Batch,
+            Backend::SkipAhead,
+        ] {
+            let mut sim = make_simulator(backend, &config);
+            let mut rng = SimRng::new(1);
+            let (traj, stabilized) = record_run(sim.as_mut(), &mut rng, u64::MAX / 2, 1_000);
+            assert!(stabilized, "{backend}");
+            assert!(traj.snapshots.len() >= 2, "{backend}");
+            assert_eq!(traj.snapshots[0], (0, config.clone()), "{backend}");
+            let (t_final, final_cfg) = traj.snapshots.last().unwrap();
+            assert_eq!(*t_final, sim.interactions(), "{backend}");
+            assert!(final_cfg.is_silent(), "{backend}");
+        }
     }
 
     #[test]
     fn snapshots_respect_cadence_and_order() {
         let config = InitialConfigBuilder::new(500, 2).figure1();
-        let mut sim = SkipAheadUsd::new(&config);
+        let mut sim = make_simulator(Backend::SkipAhead, &config);
         let mut rng = SimRng::new(2);
-        let (traj, _) = record_run(&mut sim, &mut rng, u64::MAX / 2, 500);
-        let mut last = 0;
-        for &(t, ref cfg) in &traj.snapshots {
-            assert!(t >= last);
-            assert_eq!(cfg.n(), 500);
-            last = t;
+        let (traj, _) = record_run(sim.as_mut(), &mut rng, u64::MAX / 2, 500);
+        let stamps: Vec<u64> = traj.snapshots.iter().map(|&(t, _)| t).collect();
+        // Interior snapshots sit at least one cadence apart.
+        for w in stamps[..stamps.len() - 1].windows(2) {
+            assert!(w[1] >= w[0] + 500, "{stamps:?}");
         }
+        assert!(stamps.windows(2).all(|w| w[0] < w[1]), "{stamps:?}");
+        assert!(traj.snapshots.iter().all(|(_, c)| c.n() == 500));
     }
 
     #[test]
     fn budget_limits_recording() {
         let config = InitialConfigBuilder::new(2_000, 2).balanced();
-        let mut sim = SkipAheadUsd::new(&config);
+        let mut sim = make_simulator(Backend::SkipAhead, &config);
         let mut rng = SimRng::new(3);
-        let (traj, stabilized) = record_run(&mut sim, &mut rng, 4_000, 1_000);
+        let (traj, stabilized) = record_run(sim.as_mut(), &mut rng, 4_000, 1_000);
         assert!(!stabilized, "a dead heat cannot stabilize in 2 rounds");
-        assert!(traj.snapshots.last().unwrap().0 >= 4_000);
+        assert_eq!(traj.snapshots.last().unwrap().0, 4_000);
     }
 
     #[test]
     fn roundtrips_through_the_binary_format() {
         let config = InitialConfigBuilder::new(800, 4).figure1();
-        let mut sim = SkipAheadUsd::new(&config);
+        let mut sim = make_simulator(Backend::Batch, &config);
         let mut rng = SimRng::new(4);
-        let (traj, _) = record_run(&mut sim, &mut rng, u64::MAX / 2, 800);
+        let (traj, _) = record_run(sim.as_mut(), &mut rng, u64::MAX / 2, 800);
         let decoded = Trajectory::decode(traj.encode()).unwrap();
         assert_eq!(decoded, traj);
     }

@@ -58,8 +58,8 @@
 
 use crate::backend::{classify_counts, Backend, RunTicker, COMPLETE_GRAPH_MAX_N};
 use crate::config::UsdConfig;
-use crate::dynamics::{SequentialGeneric, SkipAheadGeneric};
 use crate::protocol::UndecidedStateDynamics;
+use crate::skip_ahead::SkipAheadSimulator;
 use crate::stabilization::StabilizationResult;
 use pop_proto::simulator::{block_layout, shuffled_layout, MAX_LANES};
 use pop_proto::{
@@ -338,8 +338,7 @@ impl<'a> RunSpec<'a> {
                     batch_graph_engine(proto, graph, block_layout(&counts))
                 }
             }
-            Backend::Sequential => Box::new(SequentialGeneric::new(self.config)),
-            Backend::SkipAhead => Box::new(SkipAheadGeneric::new(self.config)),
+            Backend::SkipAhead => Box::new(SkipAheadSimulator::new(self.config)),
             Backend::Replica => {
                 let mut layout_rng = SimRng::new(REPLICA_CLIQUE_LAYOUT_SEED);
                 let layouts: Vec<Vec<usize>> = (0..lanes)

@@ -9,10 +9,6 @@
 //!   right), a single opinion growing from 3n/2k to 2n/k (Lemma 3.3), and
 //!   the maximum gap doubling from α/2 to α (Lemma 3.4).
 
-use crate::config::UsdConfig;
-use crate::dynamics::{run_until_stable, UsdSimulator};
-use sim_stats::rng::SimRng;
-
 /// How a stabilization run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConsensusOutcome {
@@ -61,31 +57,6 @@ impl StabilizationResult {
     }
 }
 
-/// Run a simulator to stabilization (or budget exhaustion).
-pub fn stabilize<S: UsdSimulator>(
-    sim: &mut S,
-    rng: &mut SimRng,
-    budget: u64,
-) -> StabilizationResult {
-    let initial_plurality = {
-        let cfg = sim.config();
-        cfg.plurality()
-    };
-    let (interactions, stable) = run_until_stable(sim, rng, budget, |_, _| {});
-    let outcome = if !stable {
-        ConsensusOutcome::Timeout
-    } else if let Some(w) = sim.winner() {
-        ConsensusOutcome::Winner(w)
-    } else {
-        ConsensusOutcome::AllUndecided
-    };
-    StabilizationResult {
-        outcome,
-        interactions,
-        initial_plurality,
-    }
-}
-
 /// First-crossing detector for a scalar trajectory.
 ///
 /// Feed it `(interactions, value)` observations in increasing interaction
@@ -126,145 +97,17 @@ impl DoublingDetector {
     }
 }
 
-/// Measurement harness for the three doubling quantities: runs `sim` until
-/// either the watched value crosses its target or the budget/stabilization
-/// ends the run. Returns the crossing interaction count if reached.
-///
-/// `watch` extracts the watched scalar from the simulator after every
-/// effective event (no-ops cannot change it).
-pub fn first_crossing<S: UsdSimulator>(
-    sim: &mut S,
-    rng: &mut SimRng,
-    budget: u64,
-    target: f64,
-    mut watch: impl FnMut(&S) -> f64,
-) -> Option<u64> {
-    if watch(sim) >= target {
-        return Some(sim.interactions());
-    }
-    let mut detector = DoublingDetector::new(target);
-    while sim.interactions() < budget {
-        sim.step_effective(rng)?;
-        if detector.offer(sim.interactions(), watch(sim)) {
-            return detector.hit_at();
-        }
-    }
-    None
-}
-
-/// Convenience: the watched scalar for Lemma 3.4 — the maximum pairwise gap.
-pub fn watch_max_gap<S: UsdSimulator>(sim: &S) -> f64 {
-    let xs = sim.opinions();
-    let max = xs.iter().max().copied().unwrap_or(0);
-    let min = xs.iter().min().copied().unwrap_or(0);
-    (max - min) as f64
-}
-
-/// Convenience: the watched scalar for Lemma 3.3 / Figure 1 (right) — a
-/// single opinion's support.
-pub fn watch_opinion<S: UsdSimulator>(i: usize) -> impl Fn(&S) -> f64 {
-    move |sim| sim.opinions()[i] as f64
-}
-
-/// Convenience: the watched scalar for Lemma 3.1 — the undecided count.
-pub fn watch_undecided<S: UsdSimulator>(sim: &S) -> f64 {
-    sim.undecided() as f64
-}
-
-/// Classify whether `result` solved approximate plurality consensus for the
-/// given initial configuration (plurality won, given sufficient bias).
-pub fn correct_for(config: &UsdConfig, result: &StabilizationResult) -> bool {
-    match result.outcome {
-        ConsensusOutcome::Winner(w) => config.plurality() == Some(w),
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::{SequentialUsd, SkipAheadUsd};
 
     #[test]
-    fn stabilize_reports_winner_and_correctness() {
-        let config = UsdConfig::decided(vec![800, 200]);
-        let mut sim = SkipAheadUsd::new(&config);
-        let mut rng = SimRng::new(1);
-        let result = stabilize(&mut sim, &mut rng, 100_000_000);
-        assert!(result.stabilized());
-        assert_eq!(result.outcome, ConsensusOutcome::Winner(0));
-        assert!(result.plurality_won());
-        assert!(correct_for(&config, &result));
-        assert!(result.interactions > 0);
-    }
-
-    #[test]
-    fn stabilize_timeout() {
-        let config = UsdConfig::decided(vec![500, 500]);
-        let mut sim = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(2);
-        let result = stabilize(&mut sim, &mut rng, 100);
-        assert_eq!(result.outcome, ConsensusOutcome::Timeout);
-        assert!(!result.stabilized());
-        assert!(!result.plurality_won());
-    }
-
-    #[test]
-    fn stabilize_all_undecided() {
-        let config = UsdConfig::decided(vec![1, 1]);
-        let mut sim = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(3);
-        let result = stabilize(&mut sim, &mut rng, 10_000);
-        assert_eq!(result.outcome, ConsensusOutcome::AllUndecided);
-        assert!(result.stabilized());
-        assert!(!correct_for(&config, &result));
-    }
-
-    #[test]
-    fn doubling_detector_first_crossing_only() {
+    fn doubling_detector_fires_once() {
         let mut d = DoublingDetector::new(10.0);
         assert!(!d.offer(1, 5.0));
         assert!(d.offer(2, 10.0));
         assert!(!d.offer(3, 20.0), "fires only once");
         assert_eq!(d.hit_at(), Some(2));
-    }
-
-    #[test]
-    fn first_crossing_immediate_when_already_past_target() {
-        let config = UsdConfig::decided(vec![50, 50]);
-        let mut sim = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(4);
-        let hit = first_crossing(&mut sim, &mut rng, 1000, 40.0, watch_opinion(0));
-        assert_eq!(hit, Some(0));
-    }
-
-    #[test]
-    fn first_crossing_detects_undecided_ramp() {
-        // From an all-decided balanced start, u ramps up quickly; the
-        // crossing of u >= n/4 must happen well before n log n interactions.
-        let n = 1_000u64;
-        let config = UsdConfig::decided(vec![500, 500]);
-        let mut sim = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(5);
-        let hit = first_crossing(&mut sim, &mut rng, 100_000, 250.0, watch_undecided);
-        let t = hit.expect("u must reach n/4");
-        assert!(t < 10 * n, "took too long: {t}");
-    }
-
-    #[test]
-    fn first_crossing_none_when_silent_first() {
-        // (1,1) annihilates to all-undecided; opinion 0 can never reach 2.
-        let config = UsdConfig::decided(vec![1, 1]);
-        let mut sim = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(6);
-        let hit = first_crossing(&mut sim, &mut rng, 100_000, 2.0, watch_opinion(0));
-        assert_eq!(hit, None);
-    }
-
-    #[test]
-    fn watch_max_gap_computes_spread() {
-        let sim = SequentialUsd::new(&UsdConfig::decided(vec![30, 12, 8]));
-        assert_eq!(watch_max_gap(&sim), 22.0);
     }
 
     #[test]

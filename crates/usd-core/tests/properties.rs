@@ -3,19 +3,18 @@
 //! Key properties: population conservation across engines for arbitrary
 //! configurations, exactness of the closed-form drifts against brute-force
 //! enumeration for arbitrary configurations, binary trajectory round-trips,
-//! and consistency between the specialized USD engines and the generic
-//! substrate simulator running the same protocol.
+//! and consistency between the specialized skip-ahead engine and the
+//! generic substrate simulator running the same protocol.
 
-use pop_proto::{CountSimulator, Protocol};
+use pop_proto::{CountSimulator, Protocol, Simulator};
 use proptest::prelude::*;
 use sim_stats::rng::SimRng;
 use usd_core::analysis::{
     expected_gap_drift, expected_opinion_drift, expected_undecided_drift, interaction_probabilities,
 };
-use usd_core::dynamics::{SequentialUsd, SkipAheadUsd, UsdSimulator};
 use usd_core::encode::Trajectory;
 use usd_core::protocol::UndecidedStateDynamics;
-use usd_core::UsdConfig;
+use usd_core::{SkipAheadSimulator, UsdConfig};
 
 /// Arbitrary small USD configurations with n ≥ 2.
 fn usd_config() -> impl Strategy<Value = UsdConfig> {
@@ -64,23 +63,17 @@ fn brute_force_drift(config: &UsdConfig, stat: impl Fn(&UsdConfig) -> f64) -> f6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Both specialized engines conserve the population on any input.
+    /// The skip-ahead engine conserves the population on any input.
     #[test]
-    fn engines_conserve_population(config in usd_config(), seed in any::<u64>()) {
+    fn skip_ahead_conserves_population(config in usd_config(), seed in any::<u64>()) {
         let n = config.n();
-        let mut seq = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(seed);
-        for _ in 0..300 {
-            seq.step(&mut rng);
-            prop_assert_eq!(seq.opinions().iter().sum::<u64>() + seq.undecided(), n);
-        }
-        let mut skip = SkipAheadUsd::new(&config);
+        let mut skip = SkipAheadSimulator::new(&config);
         let mut rng = SimRng::new(seed ^ 0x1234);
         for _ in 0..300 {
-            if skip.step_effective(&mut rng).is_none() {
+            if skip.advance(&mut rng, u64::MAX) == 0 {
                 break;
             }
-            prop_assert_eq!(skip.opinions().iter().sum::<u64>() + skip.undecided(), n);
+            prop_assert_eq!(skip.counts().iter().sum::<u64>(), n);
         }
     }
 
@@ -141,7 +134,7 @@ proptest! {
     }
 
     /// The generic substrate simulator running the USD protocol and the
-    /// specialized SequentialUsd engine both preserve silence as absorbing.
+    /// specialized skip-ahead engine both preserve silence as absorbing.
     #[test]
     fn silence_absorbing_everywhere(config in usd_config(), seed in any::<u64>()) {
         if !config.is_silent() {
@@ -154,8 +147,8 @@ proptest! {
         for _ in 0..100 {
             prop_assert!(!generic.step(&mut rng));
         }
-        let mut seq = SequentialUsd::new(&config);
-        prop_assert!(seq.step_effective(&mut rng).is_none());
+        let mut skip = SkipAheadSimulator::new(&config);
+        prop_assert_eq!(skip.advance_changed(&mut rng, 100), (0, false));
     }
 
     /// Silence predicates agree between UsdConfig and the generic protocol.
@@ -178,16 +171,15 @@ proptest! {
 }
 
 /// Cross-engine distributional agreement on a fixed mid-size instance:
-/// the generic CountSimulator (running UndecidedStateDynamics), the
-/// specialized SequentialUsd, and SkipAheadUsd must agree on the mean
-/// stabilization time.
+/// the generic CountSimulator (running UndecidedStateDynamics) and the
+/// specialized skip-ahead engine must agree on the mean stabilization time.
 #[test]
-fn three_engines_agree_on_mean_stabilization_time() {
+fn count_and_skip_agree_on_mean_stabilization_time() {
     let config = UsdConfig::decided(vec![70, 50, 30]);
     let n = config.n();
     let reps = 150u64;
 
-    let mut means = [0.0f64; 3];
+    let mut means = [0.0f64; 2];
     for seed in 0..reps {
         // Generic substrate simulator.
         let proto = UndecidedStateDynamics::new(config.k());
@@ -206,21 +198,12 @@ fn three_engines_agree_on_mean_stabilization_time() {
         });
         means[0] += generic.interactions() as f64;
 
-        // SequentialUsd.
-        let mut seq = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(seed + 50_000);
-        let (t, stable) =
-            usd_core::dynamics::run_until_stable(&mut seq, &mut rng, 100_000_000, |_, _| {});
+        // The skip-ahead engine.
+        let mut skip = SkipAheadSimulator::new(&config);
+        let mut rng = SimRng::new(seed + 90_000);
+        let (t, stable) = skip.run_to_silence(&mut rng, 100_000_000);
         assert!(stable);
         means[1] += t as f64;
-
-        // SkipAheadUsd.
-        let mut skip = SkipAheadUsd::new(&config);
-        let mut rng = SimRng::new(seed + 90_000);
-        let (t, stable) =
-            usd_core::dynamics::run_until_stable(&mut skip, &mut rng, 100_000_000, |_, _| {});
-        assert!(stable);
-        means[2] += t as f64;
     }
     for m in &mut means {
         *m /= reps as f64;
@@ -229,9 +212,8 @@ fn three_engines_agree_on_mean_stabilization_time() {
     let min = means.iter().cloned().fold(f64::MAX, f64::min);
     assert!(
         (max - min) / max < 0.12,
-        "engines disagree: generic {} sequential {} skip-ahead {}",
+        "engines disagree: generic {} skip-ahead {}",
         means[0],
-        means[1],
-        means[2]
+        means[1]
     );
 }

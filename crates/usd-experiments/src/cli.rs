@@ -319,7 +319,7 @@ mod tests {
         assert!(validate_clique_backend(Backend::BatchGraph, 1_000_000).is_err());
         // Non-graph backends have no cap.
         assert!(validate_clique_backend(Backend::Batch, u64::MAX / 2).is_ok());
-        assert!(validate_clique_backend(Backend::Sequential, 1_000_000).is_ok());
+        assert!(validate_clique_backend(Backend::SkipAhead, 1_000_000).is_ok());
     }
 
     #[test]

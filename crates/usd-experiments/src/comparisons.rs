@@ -10,7 +10,7 @@
 //! * **E11 (baseline comparison)**: USD vs the four-state exact-majority
 //!   protocol, voter dynamics, 3-majority, and synchronized USD.
 //! * **E12 (simulator ablation)**: distributional equivalence and relative
-//!   speed of the three exact engines (see the README's "Simulation
+//!   speed of five exact engines on the clique (see the README's "Simulation
 //!   backends" section).
 //!
 //! The USD measurements in E8 and E11 run through the generic backend
@@ -31,13 +31,11 @@ use sim_stats::tables::{fmt_sig, fmt_thousands, TextTable};
 use usd_baselines::{FourStateMajority, GossipUsd, SynchronizedUsd, ThreeMajority, VoterDynamics};
 use usd_core::analysis::monochromatic_distance;
 use usd_core::backend::Backend;
-use usd_core::dynamics::{SequentialUsd, SkipAheadUsd, UsdSimulator};
 use usd_core::init::InitialConfigBuilder;
 use usd_core::protocol::UndecidedStateDynamics;
-use usd_core::stabilization::stabilize;
 use usd_core::theory;
 use usd_core::RunSpec;
-use usd_core::UsdConfig;
+use usd_core::{SkipAheadSimulator, UsdConfig};
 
 // ---------------------------------------------------------------------------
 // E8: bias sensitivity
@@ -463,7 +461,8 @@ fn restart_throughput<S: Simulator>(
     target as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Run E12: the three exact engines on the same instance.
+/// Run E12: skip, count, batch, graph and batchgraph on the same clique
+/// instance.
 pub fn ablation_rows(n: u64, k: usize, seeds: u64, master_seed: u64) -> Vec<AblationRow> {
     let config = InitialConfigBuilder::new(n, k).figure1();
     let budget = crate::fig1::default_budget(n, k);
@@ -472,46 +471,15 @@ pub fn ablation_rows(n: u64, k: usize, seeds: u64, master_seed: u64) -> Vec<Abla
 
     let mut rows = Vec::new();
 
-    // SequentialUsd.
-    let seq: Vec<u64> = runner::repeat(master_seed ^ 0xE1, seeds, |_r, rng| {
-        let mut sim = SequentialUsd::new(&config);
-        stabilize(&mut sim, rng, budget).interactions
-    });
-    rows.push(make_ablation_row("SequentialUsd", &seq, hi, || {
-        let mut rng = sim_stats::rng::SimRng::new(master_seed);
-        let mut sim = SequentialUsd::new(&config);
-        let start = std::time::Instant::now();
-        let target = (n * 200).min(2_000_000);
-        // Accumulate interactions across restarts: a run may stabilize
-        // before reaching the target, in which case we start a fresh one.
-        let mut done = 0u64;
-        while done + sim.interactions() < target {
-            if sim.step_effective(&mut rng).is_none() {
-                done += sim.interactions();
-                sim = SequentialUsd::new(&config);
-            }
-        }
-        target as f64 / start.elapsed().as_secs_f64()
-    }));
-
-    // SkipAheadUsd.
+    // The USD-specialized skip-ahead engine.
     let skip: Vec<u64> = runner::repeat(master_seed ^ 0xE2, seeds, |_r, rng| {
-        let mut sim = SkipAheadUsd::new(&config);
-        stabilize(&mut sim, rng, budget).interactions
+        let (t, _) = SkipAheadSimulator::new(&config).run_to_silence(rng, budget);
+        t
     });
-    rows.push(make_ablation_row("SkipAheadUsd", &skip, hi, || {
-        let mut rng = sim_stats::rng::SimRng::new(master_seed);
-        let mut sim = SkipAheadUsd::new(&config);
-        let start = std::time::Instant::now();
-        let target = (n * 200).min(2_000_000);
-        let mut done = 0u64;
-        while done + sim.interactions() < target {
-            if sim.step_effective(&mut rng).is_none() {
-                done += sim.interactions();
-                sim = SkipAheadUsd::new(&config);
-            }
-        }
-        target as f64 / start.elapsed().as_secs_f64()
+    rows.push(make_ablation_row("SkipAheadSimulator", &skip, hi, || {
+        restart_throughput(master_seed, (n * 200).min(2_000_000), |_| {
+            SkipAheadSimulator::new(&config)
+        })
     }));
 
     // Generic CountSimulator.
@@ -761,7 +729,7 @@ mod tests {
     #[test]
     fn ablation_distributions_agree() {
         let rows = ablation_rows(800, 3, 60, 5);
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 5);
         assert!(rows.iter().any(|r| r.name.contains("GraphSimulator")));
         assert!(rows.iter().any(|r| r.name.contains("BatchGraphSimulator")));
         // Means within 15% of each other.

@@ -63,17 +63,15 @@ pub struct Fig1Snapshot {
     pub max_difference: i64,
 }
 
-/// Simulate one Figure-1 run on the default engine (the skip-ahead wrapper,
+/// Simulate one Figure-1 run on the default engine (the skip-ahead engine,
 /// the historical choice for this experiment), recording roughly once per
 /// parallel round.
 pub fn simulate_fig1_run(n: u64, k: usize, seed: u64, budget: u64) -> Fig1Run {
     simulate_fig1_run_with(n, k, seed, budget, Backend::SkipAhead)
 }
 
-/// Simulate one Figure-1 run on any generic-substrate [`Backend`]
-/// (including the USD-specialized skip-ahead engine through its
-/// [`SkipAheadGeneric`](usd_core::dynamics::SkipAheadGeneric) wrapper —
-/// the observer below only reads the trait-level counts).
+/// Simulate one Figure-1 run on any [`Backend`] (the observer below only
+/// reads the trait-level counts).
 ///
 /// Observation granularity follows the backend's advancement granularity:
 /// the per-event engines (agent, count, skip) expose every effective

@@ -20,7 +20,7 @@
 //! All three probes run through the backend-agnostic observation layer
 //! ([`Simulator::advance_observed`](pop_proto::Simulator::advance_observed)):
 //! any `--backend` drives them, with exact per-effective-event trajectories
-//! on the single-event engines (`seq`, `skip`, `agent`, `count`, `graph`)
+//! on the single-event engines (`skip`, `agent`, `count`, `graph`)
 //! and block-checkpoint trajectories on the leaping ones (`batch`,
 //! `batchgraph`) — there, running extrema and crossing instants resolve to
 //! the ~√n-interaction block boundary, a granularity far below the kn-scale
@@ -478,13 +478,13 @@ mod tests {
     #[test]
     fn lemma_probes_run_on_the_exact_backends() {
         // The observation layer makes the lemma probes backend-agnostic:
-        // the same cell runs on the reference engine, the countwise
+        // the same cell runs on the skip-ahead engine, the countwise
         // engine, and the graph engine's clique instance, with the
         // measured quantity staying inside the paper's bound on all of
         // them. (The leaping engines, whose checkpoint granularity needs
         // a block slack on the crossing bound, are covered by the tier-1
         // tests/lemma_smoke.rs.)
-        for backend in [Backend::Sequential, Backend::Count, Backend::Graph] {
+        for backend in [Backend::SkipAhead, Backend::Count, Backend::Graph] {
             let cell = lemma31_cell(backend, 2_000, 4, 1, 7);
             assert!(cell.within_bound, "{backend}: {cell:?}");
             assert!(

@@ -357,15 +357,15 @@ mod tests {
     fn scaling_cell_runs_on_the_leaping_backends() {
         // The scaling sweeps are pure stabilization measurements, so every
         // generic backend drives them; the leaping engines must agree with
-        // the reference on the measured scale.
-        let reference = measure_cell(Backend::Sequential, 2_000, 4, 3, 6);
+        // the per-interaction count engine on the measured scale.
+        let reference = measure_cell(Backend::Count, 2_000, 4, 3, 6);
         for backend in [Backend::Batch, Backend::BatchGraph] {
             let cell = measure_cell(backend, 2_000, 4, 3, 6);
             assert_eq!(cell.stabilized_rate, 1.0, "{backend}");
             let ratio = cell.parallel_mean / reference.parallel_mean;
             assert!(
                 (0.5..=2.0).contains(&ratio),
-                "{backend} diverges from sequential: {ratio}"
+                "{backend} diverges from count: {ratio}"
             );
         }
     }

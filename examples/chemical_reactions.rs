@@ -20,6 +20,7 @@
 //! species' plateau at n/2 − n/4k that the paper characterizes.
 
 use plurality_consensus::prelude::*;
+use plurality_consensus::usd_core::record_run;
 use sim_stats::timeseries::sparkline;
 
 fn main() {
@@ -32,27 +33,20 @@ fn main() {
     println!("initial counts: {:?}", config.opinions());
     println!();
 
-    let mut sim = SkipAheadUsd::new(&config);
+    let mut sim = SkipAheadSimulator::new(&config);
     let mut rng = SimRng::new(11);
 
     // Record each species roughly once per parallel unit of time.
-    let mut next_capture = 0u64;
-    let mut trajectories: Vec<Vec<f64>> = vec![Vec::new(); k + 1];
-    loop {
-        if sim.interactions() >= next_capture {
-            for (i, traj) in trajectories.iter_mut().enumerate() {
-                if i < k {
-                    traj.push(sim.opinions()[i] as f64);
-                } else {
-                    traj.push(sim.undecided() as f64);
-                }
-            }
-            next_capture = sim.interactions() + n;
-        }
-        if sim.step_effective(&mut rng).is_none() || sim.is_silent() {
-            break;
-        }
-    }
+    let (recorded, _) = record_run(&mut sim, &mut rng, u64::MAX / 2, n);
+    let trajectories: Vec<Vec<f64>> = (0..=k)
+        .map(|i| {
+            recorded
+                .snapshots
+                .iter()
+                .map(|(_, c)| if i < k { c.x(i) } else { c.u() } as f64)
+                .collect()
+        })
+        .collect();
 
     for (i, traj) in trajectories.iter().enumerate() {
         let name = if i < k {
@@ -72,9 +66,10 @@ fn main() {
         plateau,
         trajectories[k].iter().cloned().fold(0.0, f64::max)
     );
+    let (_, last) = recorded.snapshots.last().unwrap();
     println!(
         "consensus species: X{} after {:.1} parallel time",
-        sim.winner().map(|w| w + 1).unwrap_or(0),
+        last.consensus().map(|w| w + 1).unwrap_or(0),
         sim.parallel_time()
     );
 }

@@ -28,8 +28,9 @@ fn main() {
 
     // USD in the population protocol model.
     {
-        let mut sim = SkipAheadUsd::new(&config2);
-        let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+        let result = RunSpec::new(&config2)
+            .backend(Backend::SkipAhead)
+            .run(&mut rng);
         row(
             "USD (PP)",
             result.parallel_time(n),
@@ -104,8 +105,9 @@ fn main() {
     );
     let config5 = InitialConfigBuilder::new(n, 5).figure1();
     {
-        let mut sim = SkipAheadUsd::new(&config5);
-        let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+        let result = RunSpec::new(&config5)
+            .backend(Backend::SkipAhead)
+            .run(&mut rng);
         row(
             "USD (PP)",
             result.parallel_time(n),

@@ -34,9 +34,10 @@ fn main() {
 
     // Exact simulation with the skip-ahead engine (distribution-identical
     // to per-interaction simulation, but skips no-op meetings).
-    let mut sim = SkipAheadUsd::new(&config);
     let mut rng = SimRng::new(2025);
-    let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+    let result = RunSpec::new(&config)
+        .backend(Backend::SkipAhead)
+        .run(&mut rng);
 
     match result.outcome {
         ConsensusOutcome::Winner(w) => {

@@ -58,8 +58,9 @@ fn main() {
         let lead = sorted[0] - sorted[1];
         let plurality = config.plurality().unwrap();
 
-        let mut sim = SkipAheadUsd::new(&config);
-        let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+        let result = RunSpec::new(&config)
+            .backend(Backend::SkipAhead)
+            .run(&mut rng);
         let correct = matches!(result.outcome, ConsensusOutcome::Winner(w) if w == true_class);
         println!(
             "{:>10.2} {:>12} {:>12.2} {:>16.1} {:>10}",

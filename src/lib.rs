@@ -34,9 +34,12 @@
 //!
 //! // n = 10,000 agents, k = 6 opinions, the paper's Figure-1 bias.
 //! let config = InitialConfigBuilder::new(10_000, 6).figure1();
-//! let mut sim = SkipAheadUsd::new(&config);
 //! let mut rng = SimRng::new(42);
-//! let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+//! // Any of the seven backends runs the same chain; `skip` jumps over
+//! // no-op meetings geometrically.
+//! let result = RunSpec::new(&config)
+//!     .backend(Backend::SkipAhead)
+//!     .run(&mut rng);
 //! assert!(result.stabilized());
 //! // With bias sqrt(n ln n), the initial plurality wins w.h.p.
 //! assert!(result.plurality_won());
@@ -56,20 +59,18 @@ pub use usd_experiments;
 /// One-stop imports for the common simulation workflow.
 pub mod prelude {
     pub use pop_proto::topology::TopologyFamily;
+    pub use pop_proto::Simulator;
     pub use sim_stats::rng::{RngFactory, SimRng};
     pub use usd_core::analysis::{
         expected_gap_drift, expected_undecided_drift, monochromatic_distance, undecided_plateau,
     };
     pub use usd_core::backend::Backend;
-    pub use usd_core::dynamics::{
-        run_until_stable, SequentialUsd, SkipAheadUsd, UsdEvent, UsdSimulator,
-    };
     pub use usd_core::init::InitialConfigBuilder;
     pub use usd_core::protocol::{UndecidedStateDynamics, UsdState};
     pub use usd_core::runspec::{EnsembleOutcome, LaneOutcome, RunSpec, DEFAULT_REPLICAS};
-    pub use usd_core::stabilization::{stabilize, ConsensusOutcome, StabilizationResult};
+    pub use usd_core::stabilization::{ConsensusOutcome, StabilizationResult};
     pub use usd_core::theory::Bounds;
-    pub use usd_core::UsdConfig;
+    pub use usd_core::{SkipAheadSimulator, UsdConfig};
 }
 
 #[cfg(test)]
@@ -79,9 +80,10 @@ mod tests {
     #[test]
     fn facade_quickstart_compiles_and_runs() {
         let config = InitialConfigBuilder::new(2_000, 4).figure1();
-        let mut sim = SkipAheadUsd::new(&config);
         let mut rng = SimRng::new(7);
-        let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+        let result = RunSpec::new(&config)
+            .backend(Backend::SkipAhead)
+            .run(&mut rng);
         assert!(result.stabilized());
     }
 }

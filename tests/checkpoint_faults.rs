@@ -119,20 +119,23 @@ fn fuzzed_engine_payload_never_panics_restore() {
                 other.name()
             );
         }
-        // A payload carrying the retired sharded-engine tag (reserved, never
-        // reused) is rejected by that tag on every remaining engine. Every
-        // payload starts with its engine tag byte.
-        let mut retired = good.clone();
-        retired[0] = snapshot_tags::PAR_GRAPH;
-        let mut sim = make_simulator(backend, &config);
-        let err = sim
-            .restore_state(&mut SnapshotReader::new(&retired))
-            .expect_err("a retired-tag payload restored");
-        assert!(
-            err.to_string().contains("retired"),
-            "{}: {err}",
-            backend.name()
-        );
+        // A payload carrying a retired engine tag (the sharded graph engine,
+        // the sequential USD engine; reserved, never reused) is rejected by
+        // that tag on every remaining engine. Every payload starts with its
+        // engine tag byte.
+        for tag in [snapshot_tags::PAR_GRAPH, snapshot_tags::USD_SEQ] {
+            let mut retired = good.clone();
+            retired[0] = tag;
+            let mut sim = make_simulator(backend, &config);
+            let err = sim
+                .restore_state(&mut SnapshotReader::new(&retired))
+                .expect_err("a retired-tag payload restored");
+            assert!(
+                err.to_string().contains("retired"),
+                "{} (tag {tag}): {err}",
+                backend.name()
+            );
+        }
     }
 }
 

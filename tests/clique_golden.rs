@@ -203,14 +203,3 @@ fn event_engines_observe_the_plain_trajectory() {
         }
     }
 }
-
-/// `seq` draws the same ordered state pair from the same Fenwick layout as
-/// `count`, so it reproduces `count`'s trajectories exactly.
-#[test]
-fn seq_reproduces_the_count_trajectories() {
-    let count = cells(Backend::Count);
-    let seq = cells(Backend::Sequential);
-    for ((_, cp, co), (label, sp, so)) in count.iter().zip(&seq) {
-        assert_eq!((cp, co), (sp, so), "{label}");
-    }
-}

@@ -1,10 +1,10 @@
 //! Cross-crate integration: the generic substrate, the specialized USD
-//! engines, the theory module, and the experiment harness must tell one
+//! engine, the theory module, and the experiment harness must tell one
 //! consistent story.
 
 use plurality_consensus::prelude::*;
 use plurality_consensus::usd_experiments::{fig1, ExpArgs};
-use pop_proto::Protocol;
+use pop_proto::{CountSimulator, Protocol};
 
 #[test]
 fn usd_config_and_protocol_agree_on_state_space() {
@@ -29,9 +29,10 @@ fn theory_bounds_bracket_simulated_time_small_instance() {
     let mut total = 0.0;
     let reps = 5;
     for seed in 0..reps {
-        let mut sim = SkipAheadUsd::new(&config);
         let mut rng = SimRng::new(seed);
-        let result = stabilize(&mut sim, &mut rng, u64::MAX / 2);
+        let result = RunSpec::new(&config)
+            .backend(Backend::SkipAhead)
+            .run(&mut rng);
         assert!(result.stabilized());
         total += result.parallel_time(n);
     }
@@ -104,12 +105,13 @@ fn drift_analysis_lemma_params_match_simulation_probabilities() {
     let mut changes = 0u64;
     let trials = 200_000u64;
     let mut rng = SimRng::new(5);
+    let counts = config.to_count_config();
     for _ in 0..trials {
         // One interaction from a fresh copy: exact one-step marginal.
-        let mut sim = SequentialUsd::new(&config);
-        let before = sim.opinions()[0];
-        sim.step_raw(&mut rng);
-        if sim.opinions()[0] != before {
+        let mut sim = CountSimulator::new(UndecidedStateDynamics::new(3), &counts);
+        let before = sim.counts()[0];
+        sim.step(&mut rng);
+        if sim.counts()[0] != before {
             changes += 1;
         }
     }
@@ -118,16 +120,4 @@ fn drift_analysis_lemma_params_match_simulation_probabilities() {
         (empirical - p).abs() < 0.005,
         "empirical step probability {empirical} vs closed form {p}"
     );
-}
-
-/// Small extension trait so the test above can take exactly one raw
-/// interaction (including no-ops) through the public API.
-trait StepRaw {
-    fn step_raw(&mut self, rng: &mut SimRng);
-}
-
-impl StepRaw for SequentialUsd {
-    fn step_raw(&mut self, rng: &mut SimRng) {
-        self.step(rng);
-    }
 }

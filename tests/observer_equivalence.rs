@@ -12,7 +12,7 @@
 //!   block checkpoints;
 //! * **cross-backend agreement** (distributional): the mean effective-event
 //!   count to stabilization and the mean final majority seen *through the
-//!   observer* agree between the sequential reference and each leaping
+//!   observer* agree between the count reference and each leaping
 //!   backend (fixed seeds, generous tolerances — no flaky assertions);
 //! * **frozen topologies**: all graph-capable backends classify a
 //!   disconnected topology as `ConsensusOutcome::Frozen`.
@@ -109,7 +109,6 @@ fn single_event_backends_are_exact_and_leaping_backends_checkpoint() {
     for backend in [
         Backend::Agent,
         Backend::Count,
-        Backend::Sequential,
         Backend::SkipAhead,
         Backend::Graph,
     ] {
@@ -132,7 +131,7 @@ fn single_event_backends_are_exact_and_leaping_backends_checkpoint() {
 
 #[test]
 fn effective_counts_and_final_states_agree_across_backends() {
-    // Distributional agreement between the sequential reference and each
+    // Distributional agreement between the count reference and each
     // leaping backend, seen entirely through the observation layer: mean
     // effective events to stabilization and majority win rate.
     let reps = 60u64;
@@ -152,19 +151,19 @@ fn effective_counts_and_final_states_agree_across_backends() {
         }
         (eff / reps as f64, wins / reps as f64)
     };
-    let (eff_seq, wins_seq) = stats(Backend::Sequential);
-    assert!(wins_seq >= 0.8, "sequential majority win rate {wins_seq}");
+    let (eff_count, wins_count) = stats(Backend::Count);
+    assert!(wins_count >= 0.8, "count majority win rate {wins_count}");
     for backend in [Backend::Batch, Backend::BatchGraph, Backend::SkipAhead] {
         let (eff, wins) = stats(backend);
-        let rel = (eff - eff_seq).abs() / eff_seq;
+        let rel = (eff - eff_count).abs() / eff_count;
         assert!(
             rel < 0.15,
-            "{backend}: mean effective events diverge from sequential: \
-             {eff} vs {eff_seq} ({rel:.3})"
+            "{backend}: mean effective events diverge from count: \
+             {eff} vs {eff_count} ({rel:.3})"
         );
         assert!(
-            (wins - wins_seq).abs() <= 0.2,
-            "{backend}: win rate {wins} vs sequential {wins_seq}"
+            (wins - wins_count).abs() <= 0.2,
+            "{backend}: win rate {wins} vs count {wins_count}"
         );
     }
 }

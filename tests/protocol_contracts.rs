@@ -47,12 +47,12 @@ fn conservation_for_all_protocols() {
 #[test]
 fn usd_step_deltas_are_the_papers() {
     let config = UsdConfig::decided(vec![40, 35, 25]);
-    let mut sim = SequentialUsd::new(&config);
+    let mut sim = CountSimulator::new(UndecidedStateDynamics::new(3), &config.to_count_config());
     let mut rng = SimRng::new(4);
-    let mut last_u = sim.undecided() as i64;
+    let mut last_u = sim.counts()[3] as i64;
     for _ in 0..20_000 {
         sim.step(&mut rng);
-        let u = sim.undecided() as i64;
+        let u = sim.counts()[3] as i64;
         let du = u - last_u;
         assert!(
             du == 0 || du == -1 || du == 2,
@@ -117,9 +117,11 @@ fn exactness_contrast_at_margin_one() {
         }
 
         // USD, 51 vs 50.
-        let mut usd = SequentialUsd::new(&UsdConfig::decided(vec![51, 50]));
         let mut rng = SimRng::new(seed + 10_000);
-        let result = stabilize(&mut usd, &mut rng, 100_000_000);
+        let result = RunSpec::new(&UsdConfig::decided(vec![51, 50]))
+            .backend(Backend::Count)
+            .budget(100_000_000)
+            .run(&mut rng);
         if matches!(result.outcome, ConsensusOutcome::Winner(0)) {
             usd_correct += 1;
         }

@@ -91,6 +91,52 @@ fn lane_zero_usd_trajectory_is_bit_identical_to_scalar_agentwise() {
     }
 }
 
+/// The engine keeps per-lane counts in packed 21-bit fields only while
+/// n < 2²⁰ and in plain per-lane counters from n = 2²⁰ on. On both sides of
+/// that boundary, with one state holding almost every agent, lane 0 must
+/// still match the scalar agentwise run of the same stream after a fixed
+/// budget of draws (a few·n, so debug builds stay fast).
+#[test]
+fn lane_zero_matches_agentwise_across_the_packed_count_boundary() {
+    let k = 2usize;
+    for n in [(1u64 << 20) - 1, 1 << 20] {
+        let config = usd_core::UsdConfig::new(vec![n - 2_000, 1_000], 1_000);
+        let layouts = usd_layouts(&config, 2, n);
+        let mut replica =
+            ReplicaSimulator::new_clique(UndecidedStateDynamics::new(k), n as usize, &layouts);
+        let mut scalar = AgentSimulator::new(
+            UndecidedStateDynamics::new(k),
+            CliqueScheduler::new(n as usize),
+            layouts[0].clone(),
+        );
+        let mut rng_r = SimRng::new(n ^ 0xB0B);
+        let mut rng_s = SimRng::new(n ^ 0xB0B);
+        for _ in 0..3 * n {
+            replica.draw_step(&mut rng_r);
+            Simulator::step(&mut scalar, &mut rng_s);
+        }
+        assert_eq!(
+            replica.counts_of_lane(0),
+            Simulator::counts(&scalar),
+            "n = {n}: lane 0 counts"
+        );
+        assert_eq!(
+            replica.lane_clock(),
+            Simulator::interactions(&scalar),
+            "n = {n}"
+        );
+        assert_eq!(
+            replica.lane_states(0),
+            scalar.states(),
+            "n = {n}: lane 0 states"
+        );
+        assert!(
+            Simulator::effective_interactions(&scalar) > 0,
+            "n = {n}: the budget saw no effective interaction"
+        );
+    }
+}
+
 /// Lane stabilization times pooled over `passes` ensemble passes of
 /// `lanes` lanes each, through the public [`RunSpec`] surface (the engine
 /// is kept; [`EnsembleOutcome`] reads the per-lane results off it).

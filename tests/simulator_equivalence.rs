@@ -1,6 +1,6 @@
 //! The exact USD engines — agentwise (via the generic substrate),
-//! countwise generic, batch-leaping generic, and the two specialized
-//! engines — simulate the same Markov chain. These tests compare their
+//! countwise generic, batch-leaping generic, and the specialized
+//! skip-ahead engine — simulate the same Markov chain. These tests compare their
 //! *distributions* (fixed seeds, generous tolerances; no flaky
 //! assertions), including two-sample Kolmogorov–Smirnov equivalence of the
 //! batch backend's stabilization-time law against the countwise reference.
@@ -10,6 +10,7 @@ use pop_proto::{
     AgentSimulator, BatchSimulator, CliqueScheduler, CountSimulator, OneWayEpidemic, Simulator,
 };
 use sim_stats::ks::{ks_critical_value, ks_statistic};
+use usd_core::backend::make_simulator;
 
 fn usd_silent_counts(counts: &[u64], k: usize) -> bool {
     let n: u64 = counts.iter().sum();
@@ -17,9 +18,9 @@ fn usd_silent_counts(counts: &[u64], k: usize) -> bool {
 }
 
 /// Mean stabilization interactions for each engine on the same instance.
-fn engine_means(n: u64, k: usize, reps: u64) -> [f64; 4] {
+fn engine_means(n: u64, k: usize, reps: u64) -> [f64; 3] {
     let config = InitialConfigBuilder::new(n, k).figure1();
-    let mut means = [0.0f64; 4];
+    let mut means = [0.0f64; 3];
 
     for seed in 0..reps {
         // Engine 0: per-agent simulation (the literal model).
@@ -44,21 +45,13 @@ fn engine_means(n: u64, k: usize, reps: u64) -> [f64; 4] {
             sim.run(&mut rng, u64::MAX / 2, |s| usd_silent_counts(s.counts(), k));
             means[1] += sim.interactions() as f64;
         }
-        // Engine 2: SequentialUsd.
+        // Engine 2: the skip-ahead engine.
         {
-            let mut sim = SequentialUsd::new(&config);
-            let mut rng = SimRng::new(seed * 4 + 2);
-            let (t, stable) = run_until_stable(&mut sim, &mut rng, u64::MAX / 2, |_, _| {});
+            let mut sim = SkipAheadSimulator::new(&config);
+            let mut rng = SimRng::new(seed * 4 + 3);
+            let (t, stable) = sim.run_to_silence(&mut rng, u64::MAX / 2);
             assert!(stable);
             means[2] += t as f64;
-        }
-        // Engine 3: SkipAheadUsd.
-        {
-            let mut sim = SkipAheadUsd::new(&config);
-            let mut rng = SimRng::new(seed * 4 + 3);
-            let (t, stable) = run_until_stable(&mut sim, &mut rng, u64::MAX / 2, |_, _| {});
-            assert!(stable);
-            means[3] += t as f64;
         }
     }
     for m in &mut means {
@@ -68,7 +61,7 @@ fn engine_means(n: u64, k: usize, reps: u64) -> [f64; 4] {
 }
 
 #[test]
-fn all_four_engines_agree_on_mean_stabilization_time() {
+fn agent_count_and_skip_agree_on_mean_stabilization_time() {
     let means = engine_means(400, 3, 120);
     let max = means.iter().cloned().fold(f64::MIN, f64::max);
     let min = means.iter().cloned().fold(f64::MAX, f64::min);
@@ -89,22 +82,21 @@ fn engines_agree_on_winner_distribution() {
 
     let mut wins = [0u64; 2];
     for seed in 0..reps {
-        let mut seq = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(seed);
-        let r = stabilize(&mut seq, &mut rng, u64::MAX / 2);
-        if r.plurality_won() {
-            wins[0] += 1;
-        }
-        let mut skip = SkipAheadUsd::new(&config);
-        let mut rng = SimRng::new(seed + 1_000_000);
-        let r = stabilize(&mut skip, &mut rng, u64::MAX / 2);
-        if r.plurality_won() {
-            wins[1] += 1;
+        for (slot, backend, seed) in [
+            (0, Backend::Count, seed),
+            (1, Backend::SkipAhead, seed + 1_000_000),
+        ] {
+            let r = RunSpec::new(&config)
+                .backend(backend)
+                .run(&mut SimRng::new(seed));
+            if r.plurality_won() {
+                wins[slot] += 1;
+            }
         }
     }
     let rate0 = wins[0] as f64 / reps as f64;
     let rate1 = wins[1] as f64 / reps as f64;
-    assert!(rate0 > 0.8, "sequential win rate {rate0}");
+    assert!(rate0 > 0.8, "count win rate {rate0}");
     assert!(rate1 > 0.8, "skip-ahead win rate {rate1}");
     assert!((rate0 - rate1).abs() < 0.15, "{rate0} vs {rate1}");
 }
@@ -211,42 +203,33 @@ fn batch_elects_plurality_at_reference_rate() {
 #[test]
 fn skip_ahead_interaction_clock_is_calibrated() {
     // The skipped-no-op accounting must make the *total interaction count*
-    // (not just effective events) agree with the sequential engine — this
-    // is what makes parallel-time measurements comparable.
+    // (not just effective events) agree with the per-interaction count
+    // engine — this is what makes parallel-time measurements comparable.
     let config = UsdConfig::new(vec![50, 30], 420); // no-op heavy (84% ⊥)
     let reps = 400u64;
-    let mut seq_mean = 0.0;
+    // The interaction clock at the 40th effective event.
+    let clock_at_40_events = |mut sim: Box<dyn Simulator>, seed: u64| {
+        let mut rng = SimRng::new(seed);
+        let mut events = 0;
+        while events < 40 && !sim.is_silent() {
+            if sim.advance_changed(&mut rng, u64::MAX).1 {
+                events += 1;
+            }
+        }
+        sim.interactions() as f64
+    };
+    let mut count_mean = 0.0;
     let mut skip_mean = 0.0;
     for seed in 0..reps {
-        let mut seq = SequentialUsd::new(&config);
-        let mut rng = SimRng::new(seed);
-        // Run until 40 effective events and note the interaction clock.
-        let mut events = 0;
-        while events < 40 {
-            if seq.step_effective(&mut rng).is_none() {
-                break;
-            }
-            events += 1;
-        }
-        seq_mean += seq.interactions() as f64;
-
-        let mut skip = SkipAheadUsd::new(&config);
-        let mut rng = SimRng::new(seed + 55_555);
-        let mut events = 0;
-        while events < 40 {
-            if skip.step_effective(&mut rng).is_none() {
-                break;
-            }
-            events += 1;
-        }
-        skip_mean += skip.interactions() as f64;
+        count_mean += clock_at_40_events(make_simulator(Backend::Count, &config), seed);
+        skip_mean += clock_at_40_events(make_simulator(Backend::SkipAhead, &config), seed + 55_555);
     }
-    seq_mean /= reps as f64;
+    count_mean /= reps as f64;
     skip_mean /= reps as f64;
-    let rel = (seq_mean - skip_mean).abs() / seq_mean;
+    let rel = (count_mean - skip_mean).abs() / count_mean;
     assert!(
         rel < 0.05,
-        "interaction clocks disagree: sequential {seq_mean} vs skip {skip_mean}"
+        "interaction clocks disagree: count {count_mean} vs skip {skip_mean}"
     );
 }
 
