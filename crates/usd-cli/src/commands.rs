@@ -536,8 +536,8 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     if trace_path.is_some() && (checkpoint_path.is_some() || resume_path.is_some()) {
         return Err(CliError(
-            "--trace cannot resume: a checkpoint carries no trajectory (drop \
-             --checkpoint/--resume)"
+            "--trace cannot be combined with --checkpoint/--resume: a checkpoint \
+             carries no trajectory"
                 .to_string(),
         ));
     }
@@ -665,7 +665,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let mut ensemble: Option<EnsembleOutcome> = None;
     // Whether any chunk-boundary instrumentation is attached: a monitor
     // forces the chunked drive loop; without one a clique run is a single
-    // uninterrupted `run_to_silence`, bit-identical to the plain path.
+    // uninterrupted `run_to_silence`.
     let monitored =
         monitor.heartbeat.is_some() || monitor.recorder.is_some() || monitor.checkpoint.is_some();
     let result = if let Some((ckpt, from)) = &resumed {
